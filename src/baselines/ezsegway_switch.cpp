@@ -12,19 +12,12 @@ using sim::TraceKind;
 
 EzSegwaySwitch::EzSegwaySwitch(net::NodeId id, const net::Graph& graph,
                                EzSwitchParams params)
-    : id_(id), graph_(&graph), params_(params) {
-  // Static management routing for SegmentDone messages: next hop on the
-  // latency-shortest path toward each destination.
-  next_hop_port_.assign(graph.node_count(), -1);
-  for (std::size_t dst = 0; dst < graph.node_count(); ++dst) {
-    if (static_cast<net::NodeId>(dst) == id_) continue;
-    const auto path = net::shortest_path(graph, id_,
-                                         static_cast<net::NodeId>(dst));
-    if (path && path->size() >= 2) {
-      next_hop_port_[dst] = graph.port_of(id_, (*path)[1]);
-    }
-  }
-}
+    : id_(id),
+      graph_(&graph),
+      params_(params),
+      // Static management routing for SegmentDone messages: next hop on
+      // the latency-shortest path toward each destination.
+      next_hop_port_(net::first_hop_ports(graph, id)) {}
 
 void EzSegwaySwitch::bootstrap_flow(SwitchDevice& sw, net::FlowId f,
                                     std::int32_t egress_port, double size) {

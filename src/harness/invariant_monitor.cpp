@@ -15,15 +15,22 @@ std::vector<net::FlowId> InvariantMonitor::watched_ids_sorted() const {
   return ids;
 }
 
+void InvariantMonitor::watch_flow(const net::Flow& f) {
+  flows_[f.id] = f;
+  seed_cycles(f.id);
+}
+
 void InvariantMonitor::attach() {
   if (!handle_.active()) handle_ = fabric_->subscribe(this);
 }
 
 void InvariantMonitor::on_rule_installed(net::NodeId node, net::FlowId flow,
                                          std::int32_t port) {
-  (void)node;
   (void)port;
-  if (flows_.count(flow) != 0) check_flow(flow);
+  const auto it = flows_.find(flow);
+  if (it == flows_.end()) return;
+  const bool loop = track_cycles(node, flow);
+  record(flow, loop, walk_flow(it->second));
 }
 
 void InvariantMonitor::on_link_state(net::LinkId link, net::NodeId a,
@@ -55,58 +62,120 @@ void InvariantMonitor::on_switch_state(net::NodeId node, bool up) {
   }
 }
 
+net::NodeId InvariantMonitor::successor(net::NodeId node,
+                                        net::FlowId flow) const {
+  const auto port = fabric_->sw(node).lookup(flow);
+  if (!port || *port == p4rt::SwitchDevice::kLocalPort) return net::kNoNode;
+  return fabric_->graph().neighbor_via(node, *port);
+}
+
+bool InvariantMonitor::on_cycle(net::NodeId node, net::FlowId flow) const {
+  net::NodeId cur = node;
+  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
+    cur = successor(cur, flow);
+    if (cur == net::kNoNode) return false;
+    if (cur == node) return true;
+  }
+  return false;
+}
+
 std::vector<net::NodeId> InvariantMonitor::walk_nodes(net::FlowId flow) const {
   std::vector<net::NodeId> walk;
   auto it = flows_.find(flow);
   if (it == flows_.end()) return walk;
-  std::set<net::NodeId> visited;
   net::NodeId cur = it->second.ingress;
-  while (visited.insert(cur).second) {
+  while (cur != net::kNoNode &&
+         std::find(walk.begin(), walk.end(), cur) == walk.end()) {
     walk.push_back(cur);
-    const auto port = fabric_->sw(cur).lookup(flow);
-    if (!port || *port == p4rt::SwitchDevice::kLocalPort) break;
-    const net::NodeId next = fabric_->graph().neighbor_via(cur, *port);
-    if (next == net::kNoNode) break;
-    cur = next;
+    cur = successor(cur, flow);
   }
   return walk;
 }
 
-bool InvariantMonitor::has_loop(net::FlowId flow) const {
-  // The per-flow forwarding graph is functional (<=1 successor per node);
-  // iterate with visited-coloring to find any cycle.
-  const auto n = fabric_->switch_count();
-  std::vector<std::uint8_t> color(n, 0);  // 0 unvisited, 1 in walk, 2 done
+std::vector<net::NodeId> InvariantMonitor::scan_cycles(net::FlowId flow,
+                                                       bool first_only) const {
+  // The per-flow forwarding graph is functional (<=1 successor per node):
+  // walk from every node not yet visited, stamping nodes with the walk's
+  // start. A walk that comes back to its own stamp has closed a cycle; one
+  // that runs into an older stamp joins a path already explored.
+  const std::size_t n = fabric_->switch_count();
+  std::vector<std::size_t> walk_of(n, n);  // n: not visited yet
+  std::vector<net::NodeId> witnesses;
   for (std::size_t start = 0; start < n; ++start) {
-    if (color[start] != 0) continue;
-    std::vector<std::size_t> walk;
-    std::size_t cur = start;
-    for (;;) {
-      if (color[cur] == 1) {
-        for (std::size_t w : walk) color[w] = 2;
-        return true;  // re-entered the current walk: cycle
-      }
-      if (color[cur] == 2) break;
-      color[cur] = 1;
-      walk.push_back(cur);
-      const auto port = fabric_->sw(static_cast<net::NodeId>(cur)).lookup(flow);
-      if (!port || *port == p4rt::SwitchDevice::kLocalPort) break;
-      const net::NodeId next = fabric_->graph().neighbor_via(
-          static_cast<net::NodeId>(cur), *port);
-      if (next == net::kNoNode) break;
-      cur = static_cast<std::size_t>(next);
+    auto cur = static_cast<net::NodeId>(start);
+    while (cur != net::kNoNode && walk_of[static_cast<std::size_t>(cur)] == n) {
+      walk_of[static_cast<std::size_t>(cur)] = start;
+      cur = successor(cur, flow);
     }
-    for (std::size_t w : walk) color[w] = 2;
+    if (cur != net::kNoNode && walk_of[static_cast<std::size_t>(cur)] == start) {
+      witnesses.push_back(cur);
+      if (first_only) break;
+    }
   }
-  return false;
+  return witnesses;
+}
+
+bool InvariantMonitor::has_loop(net::FlowId flow) const {
+  return !scan_cycles(flow, /*first_only=*/true).empty();
+}
+
+bool InvariantMonitor::seed_cycles(net::FlowId flow) {
+  std::vector<net::NodeId> witnesses = scan_cycles(flow, /*first_only=*/false);
+  if (witnesses.empty()) {
+    cycles_.erase(flow);
+    return false;
+  }
+  cycles_[flow] = std::move(witnesses);
+  return true;
+}
+
+bool InvariantMonitor::track_cycles(net::NodeId node, net::FlowId flow) {
+  // Since the last check only `node`'s rule was written; removals and crash
+  // wipes only deleted edges. So a cycle that broke fails its witness's
+  // walk, every cycle that survived keeps its witness, and the only cycle
+  // that can be new runs through `node`.
+  auto it = cycles_.find(flow);
+  if (it != cycles_.end()) {
+    std::erase_if(it->second,
+                  [&](net::NodeId w) { return !on_cycle(w, flow); });
+  }
+  const auto witnessed = [&](net::NodeId n) {
+    return it != cycles_.end() &&
+           std::find(it->second.begin(), it->second.end(), n) !=
+               it->second.end();
+  };
+  // Walk from `node` until the walk ends, meets a witnessed cycle (the one
+  // through `node` or another), or comes back to `node`: a new cycle.
+  bool closes = false;
+  net::NodeId cur = node;
+  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
+    if (witnessed(cur)) break;
+    cur = successor(cur, flow);
+    if (cur == net::kNoNode) break;
+    if (cur == node) {
+      closes = true;
+      break;
+    }
+  }
+  if (closes) {
+    if (it == cycles_.end()) it = cycles_.try_emplace(flow).first;
+    it->second.push_back(node);
+  }
+  if (it == cycles_.end()) return false;
+  if (it->second.empty()) {
+    cycles_.erase(it);
+    return false;
+  }
+  return true;
 }
 
 bool InvariantMonitor::has_blackhole(net::FlowId flow) const {
   auto it = flows_.find(flow);
   if (it == flows_.end()) return false;
-  std::set<net::NodeId> visited;
   net::NodeId cur = it->second.ingress;
-  while (visited.insert(cur).second) {
+  // A walk of switch_count() hops has repeated a node: a loop, which
+  // has_loop reports, not a blackhole.
+  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
     const auto port = fabric_->sw(cur).lookup(flow);
     if (!port) return true;  // a reachable node without a rule
     if (*port == p4rt::SwitchDevice::kLocalPort) return false;  // delivered
@@ -114,17 +183,17 @@ bool InvariantMonitor::has_blackhole(net::FlowId flow) const {
     if (next == net::kNoNode) return true;  // rule points nowhere
     cur = next;
   }
-  return false;  // looped: reported by has_loop, not as a blackhole
+  return false;
 }
 
-InvariantMonitor::WalkEnd InvariantMonitor::walk_flow(net::FlowId flow) const {
-  auto it = flows_.find(flow);
-  if (it == flows_.end()) return WalkEnd::kDelivered;
-  std::set<net::NodeId> visited;
-  net::NodeId cur = it->second.ingress;
-  while (visited.insert(cur).second) {
+InvariantMonitor::WalkEnd InvariantMonitor::walk_flow(
+    const net::Flow& flow) const {
+  net::NodeId cur = flow.ingress;
+  // A walk of switch_count() hops has repeated a node, and every node after
+  // the first repeat was already checked.
+  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
     if (!fabric_->switch_is_up(cur)) return WalkEnd::kFaulted;
-    const auto port = fabric_->sw(cur).lookup(flow);
+    const auto port = fabric_->sw(cur).lookup(flow.id);
     if (!port) return WalkEnd::kBlackhole;
     if (*port == p4rt::SwitchDevice::kLocalPort) return WalkEnd::kDelivered;
     const auto& adj = fabric_->graph().neighbors(cur);
@@ -148,9 +217,7 @@ std::vector<std::string> InvariantMonitor::capacity_overloads() const {
     const net::Flow& flow = flows_.at(id);
     for (std::size_t n = 0; n < fabric_->switch_count(); ++n) {
       const auto node = static_cast<net::NodeId>(n);
-      const auto port = fabric_->sw(node).lookup(id);
-      if (!port || *port == p4rt::SwitchDevice::kLocalPort) continue;
-      const net::NodeId next = fabric_->graph().neighbor_via(node, *port);
+      const net::NodeId next = successor(node, id);
       if (next == net::kNoNode) continue;
       load[{node, next}] += flow.size;
     }
@@ -171,8 +238,19 @@ std::vector<std::string> InvariantMonitor::capacity_overloads() const {
 }
 
 void InvariantMonitor::check_flow(net::FlowId flow) {
+  const auto it = flows_.find(flow);
+  if (it == flows_.end()) {
+    // Not watched: no witnesses to keep and no ingress to walk from.
+    record(flow, has_loop(flow), WalkEnd::kDelivered);
+    return;
+  }
+  const bool loop = seed_cycles(flow);
+  record(flow, loop, walk_flow(it->second));
+}
+
+void InvariantMonitor::record(net::FlowId flow, bool loop, WalkEnd end) {
   const sim::Time now = fabric_->simulator().now();
-  if (has_loop(flow)) {
+  if (loop) {
     // Loops are always the update system's fault — no physical failure
     // writes a cyclic rule set — so faults never excuse them.
     ++violations_.loops;
@@ -181,7 +259,7 @@ void InvariantMonitor::check_flow(net::FlowId flow) {
     findings_.push_back("loop in flow " + std::to_string(flow) + " at t=" +
                         std::to_string(sim::to_ms(now)) + "ms");
   }
-  switch (walk_flow(flow)) {
+  switch (end) {
     case WalkEnd::kDelivered:
       excused_.erase(flow);  // a clean walk ends the fault excuse
       break;

@@ -1,6 +1,6 @@
 // InvariantMonitor: the oracle that checks the paper's three consistency
 // properties (§5) against the *actual* data-plane state after every rule
-// change:
+// install:
 //   - loop freedom: the per-flow forwarding graph is acyclic,
 //   - blackhole freedom: walking from the flow ingress always reaches a
 //     rule, ending at local delivery,
@@ -8,6 +8,16 @@
 //     routed over it never exceed capacity.
 // The systems under test never see the monitor — it reads switch tables the
 // way an omniscient observer would.
+//
+// The install-time loop check is local, like the paper's switches: a
+// flow's forwarding graph is functional (at most one successor per switch),
+// so an install at node n can only create the one cycle through n, and the
+// removals and crash wipes the monitor is not told about only delete edges.
+// The monitor keeps one witness node per live cycle of each watched flow,
+// revalidates the witnesses and walks from n on each install: O(path + live
+// cycles), not O(switches). has_loop is the full-scan reference it agrees
+// with exactly; check_flow/check_all use that scan and re-seed the
+// witnesses.
 //
 // Under a FaultPlan the oracle distinguishes *violations* (the update system
 // broke an invariant) from *faulted walks* (the physical fault broke the
@@ -17,6 +27,7 @@
 // update logic does.
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -45,15 +56,17 @@ class InvariantMonitor : public p4rt::FabricObserver {
       : fabric_(&fabric), check_capacity_(check_capacity) {}
 
   /// Declares a flow the monitor should watch (its ingress anchors the
-  /// blackhole walk; its size feeds the capacity sums).
-  void watch_flow(const net::Flow& f) { flows_[f.id] = f; }
+  /// blackhole walk; its size feeds the capacity sums) and seeds its cycle
+  /// witnesses with one full scan of the switch tables.
+  void watch_flow(const net::Flow& f);
 
   /// Subscribes to the fabric (rule installs trigger checks; fault events
   /// mark affected flows excused). Idempotent per monitor instance.
   void attach();
 
-  /// Runs all checks for one flow right now; increments counters and logs
-  /// trace entries for anything found.
+  /// Runs all checks for one flow right now, with the full-scan loop check
+  /// (re-seeding a watched flow's cycle witnesses); increments counters and
+  /// logs trace entries for anything found.
   void check_flow(net::FlowId flow);
 
   /// Runs all checks for all watched flows.
@@ -72,7 +85,8 @@ class InvariantMonitor : public p4rt::FabricObserver {
   /// like FlowDb::export_outcomes).
   void export_violations(obs::MetricsRegistry& m) const;
 
-  // Direct predicates (used by tests).
+  // Direct predicates (used by tests). has_loop scans every switch table:
+  // the reference the install-time check must agree with.
   [[nodiscard]] bool has_loop(net::FlowId flow) const;
   [[nodiscard]] bool has_blackhole(net::FlowId flow) const;
   [[nodiscard]] std::vector<std::string> capacity_overloads() const;
@@ -92,11 +106,38 @@ class InvariantMonitor : public p4rt::FabricObserver {
     kLoop,       // revisited a node
     kFaulted,    // hit a crashed switch or a downed link
   };
-  WalkEnd walk_flow(net::FlowId flow) const;
+  [[nodiscard]] WalkEnd walk_flow(const net::Flow& flow) const;
 
-  /// The node sequence of the flow's current walk (pre-fault when called
-  /// from a state-change notification, which fires before the fabric
-  /// applies the effect).
+  /// Counts and logs what one check of `flow` found, in the fixed order
+  /// loop, walk, capacity.
+  void record(net::FlowId flow, bool loop, WalkEnd end);
+
+  /// The node `flow`'s rule at `node` forwards to; kNoNode when there is no
+  /// rule, the rule delivers locally, or its port leads nowhere.
+  [[nodiscard]] net::NodeId successor(net::NodeId node,
+                                      net::FlowId flow) const;
+
+  /// True when following `flow`'s rules from `node` comes back to it (a
+  /// cycle is at most switch_count() hops long).
+  [[nodiscard]] bool on_cycle(net::NodeId node, net::FlowId flow) const;
+
+  /// One node on each cycle of `flow`'s forwarding graph, found by scanning
+  /// every switch table; stops at the first cycle when `first_only`.
+  [[nodiscard]] std::vector<net::NodeId> scan_cycles(net::FlowId flow,
+                                                     bool first_only) const;
+
+  /// Replaces a watched flow's witnesses with a full scan's; returns
+  /// whether the flow has a loop.
+  bool seed_cycles(net::FlowId flow);
+
+  /// The install-time loop check after `flow`'s rule at `node` changed:
+  /// drops witnesses whose cycle broke, adds `node` when it closed a cycle
+  /// no witness is on, and returns whether any cycle is left.
+  bool track_cycles(net::NodeId node, net::FlowId flow);
+
+  /// The node sequence of the flow's current walk, up to its first
+  /// repeated node (pre-fault when called from a state-change notification,
+  /// which fires before the fabric applies the effect).
   [[nodiscard]] std::vector<net::NodeId> walk_nodes(net::FlowId flow) const;
 
   /// Watched flow ids in ascending order. All iteration over the watched
@@ -107,6 +148,9 @@ class InvariantMonitor : public p4rt::FabricObserver {
   p4rt::Fabric* fabric_;
   bool check_capacity_;
   std::unordered_map<net::FlowId, net::Flow> flows_;
+  /// Cycle witnesses: one node on each live cycle of a watched flow's
+  /// forwarding graph. Only flows that currently have a cycle have an entry.
+  std::map<net::FlowId, std::vector<net::NodeId>> cycles_;
   Violations violations_;
   std::vector<std::string> findings_;
   /// Flows whose path a live fault broke; cleared by the next clean walk.

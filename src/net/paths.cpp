@@ -74,6 +74,21 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
   return extract_path(t, src, dst);
 }
 
+std::vector<std::int32_t> first_hop_ports(const Graph& g, NodeId src) {
+  const SpTree t = dijkstra(g, src);
+  std::vector<std::int32_t> ports(g.node_count(), -1);
+  for (std::size_t dst = 0; dst < g.node_count(); ++dst) {
+    if (static_cast<NodeId>(dst) == src || t.dist[dst] == kInf) continue;
+    // Climb the parent chain to the child of `src` on the way to dst.
+    auto hop = static_cast<NodeId>(dst);
+    while (t.parent[static_cast<std::size_t>(hop)] != src) {
+      hop = t.parent[static_cast<std::size_t>(hop)];
+    }
+    ports[dst] = g.port_of(src, hop);
+  }
+  return ports;
+}
+
 std::optional<Path> shortest_path_avoiding(const Graph& g, NodeId src,
                                            NodeId dst,
                                            const std::vector<NodeId>& banned,

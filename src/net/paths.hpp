@@ -3,6 +3,7 @@
 // flow on the shortest path and the new flow on the 2nd-shortest (§9.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -29,6 +30,11 @@ SpTree dijkstra(const Graph& g, NodeId src, Metric metric = Metric::kLatency);
 /// Shortest path src -> dst; nullopt if unreachable.
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst,
                                   Metric metric = Metric::kLatency);
+
+/// Per destination, the port on `src` of the first hop of shortest_path(g,
+/// src, dst), read off one shortest-path tree; -1 for `src` itself and for
+/// unreachable destinations.
+std::vector<std::int32_t> first_hop_ports(const Graph& g, NodeId src);
 
 /// Shortest path src -> dst that avoids `banned` nodes entirely (src/dst
 /// must not be banned); nullopt if none exists.

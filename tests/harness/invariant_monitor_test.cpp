@@ -25,6 +25,17 @@ struct Env {
     monitor->watch_flow(f);
     return f;
   }
+  /// Writes flow 1's rule at `n` towards neighbor `next` through the
+  /// fabric's install notification and returns whether the attached
+  /// monitor counted a loop for it. Every call also checks the count
+  /// against the full-scan reference.
+  bool install(net::NodeId n, net::NodeId next) {
+    const std::uint64_t before = monitor->violations().loops;
+    fabric->sw(n).set_rule_now(1, topo.graph.port_of(n, next));
+    const bool counted = monitor->violations().loops > before;
+    EXPECT_EQ(counted, monitor->has_loop(1)) << "install at " << n;
+    return counted;
+  }
   sim::Simulator sim;
   net::NamedTopology topo = net::fig1_topology();
   std::unique_ptr<p4rt::Fabric> fabric;
@@ -97,6 +108,73 @@ TEST(InvariantMonitorTest, AttachChainsIntoRuleInstallHook) {
   env.fabric->sw(3).set_rule_now(1, env.topo.graph.port_of(3, 4));
   EXPECT_GE(env.monitor->violations().loops, 1u);
   EXPECT_FALSE(env.monitor->findings().empty());
+}
+
+// The install-time check keeps one witness per live cycle. The cases below
+// cover each way a witness can go stale or be missing; fig1's links include
+// the triangle 2-3-4 and the pair 5-6.
+
+TEST(InvariantMonitorTest, CycleBrokenByUnnotifiedRemovalIsDropped) {
+  Env env;
+  env.flow(0, 7, 1.0, 1);
+  env.monitor->attach();
+  EXPECT_FALSE(env.install(2, 3));
+  EXPECT_FALSE(env.install(3, 4));
+  EXPECT_TRUE(env.install(4, 2));  // closes 2 -> 3 -> 4 -> 2
+  env.fabric->sw(3).remove_rule(1);  // the monitor is not told
+  EXPECT_FALSE(env.install(0, 4));
+  EXPECT_EQ(env.monitor->violations().loops, 1u);
+}
+
+TEST(InvariantMonitorTest, CycleWipedByCrashIsDropped) {
+  Env env;
+  env.flow(0, 7, 1.0, 1);
+  env.monitor->attach();
+  EXPECT_FALSE(env.install(5, 6));
+  EXPECT_TRUE(env.install(6, 5));
+  // A bare switch crash: the table is wiped and no observer hears of it.
+  env.fabric->sw(6).crash();
+  EXPECT_FALSE(env.install(0, 4));
+  EXPECT_EQ(env.monitor->violations().loops, 1u);
+}
+
+TEST(InvariantMonitorTest, CycleBuiltBeforeWatchIsSeeded) {
+  Env env;
+  env.monitor->attach();
+  env.fabric->sw(5).set_rule_now(1, env.topo.graph.port_of(5, 6));
+  env.fabric->sw(6).set_rule_now(1, env.topo.graph.port_of(6, 5));
+  EXPECT_EQ(env.monitor->violations().loops, 0u);  // not watched yet
+  env.flow(0, 7, 1.0, 1);
+  // An install far from the stale cycle still reports it.
+  EXPECT_TRUE(env.install(0, 4));
+  EXPECT_TRUE(env.install(4, 2));
+}
+
+TEST(InvariantMonitorTest, TwoDisjointCyclesAreTrackedSeparately) {
+  Env env;
+  env.flow(0, 7, 1.0, 1);
+  env.monitor->attach();
+  EXPECT_FALSE(env.install(5, 6));
+  EXPECT_TRUE(env.install(6, 5));  // first cycle 5 <-> 6
+  EXPECT_TRUE(env.install(2, 3));
+  EXPECT_TRUE(env.install(3, 4));
+  EXPECT_TRUE(env.install(4, 2));  // second cycle 2 -> 3 -> 4 -> 2
+  EXPECT_TRUE(env.install(6, 7));  // breaks the first; the second remains
+  EXPECT_FALSE(env.install(2, 7));  // breaks the second
+}
+
+TEST(InvariantMonitorTest, InstallThatMovesACycleOntoItsNodeIsCounted) {
+  Env env;
+  env.flow(0, 7, 1.0, 1);
+  env.monitor->attach();
+  EXPECT_FALSE(env.install(2, 3));
+  EXPECT_FALSE(env.install(3, 4));
+  EXPECT_TRUE(env.install(4, 2));  // 2 -> 3 -> 4 -> 2, witnessed at 4
+  // 3 -> 2 -> 3: the cycle now runs through 3, and 4 only leads into it,
+  // so the old witness is stale and 3 must take its place.
+  EXPECT_TRUE(env.install(3, 2));
+  EXPECT_TRUE(env.install(0, 4));  // an unrelated install still sees it
+  EXPECT_FALSE(env.install(2, 7));  // breaks it
 }
 
 TEST(InvariantMonitorTest, ExportsPerInvariantViolationCounters) {

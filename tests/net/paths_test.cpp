@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "net/fattree.hpp"
+#include "net/topologies.hpp"
+#include "net/topology_zoo.hpp"
+
 namespace p4u::net {
 namespace {
 
@@ -98,6 +104,37 @@ TEST(ValidSimplePathTest, RejectsRepeatsAndGaps) {
   EXPECT_FALSE(valid_simple_path(g, {0, 1, 0}));   // repeat
   EXPECT_FALSE(valid_simple_path(g, {0, 2}));      // not adjacent
   EXPECT_FALSE(valid_simple_path(g, {}));          // empty
+}
+
+TEST(FirstHopPortsTest, MatchShortestPathFirstHops) {
+  const std::vector<std::pair<const char*, Graph>> graphs = {
+      {"fig1", fig1_topology().graph},
+      {"fat-tree(4)", fattree_topology(4).graph},
+      {"B4", b4_topology()},
+  };
+  for (const auto& [name, g] : graphs) {
+    for (std::size_t s = 0; s < g.node_count(); ++s) {
+      const auto src = static_cast<NodeId>(s);
+      const std::vector<std::int32_t> ports = first_hop_ports(g, src);
+      ASSERT_EQ(ports.size(), g.node_count()) << name;
+      EXPECT_EQ(ports[s], -1) << name << " src " << s;
+      for (std::size_t d = 0; d < g.node_count(); ++d) {
+        if (d == s) continue;
+        const auto path = shortest_path(g, src, static_cast<NodeId>(d));
+        ASSERT_TRUE(path.has_value()) << name;
+        EXPECT_EQ(ports[d], g.port_of(src, (*path)[1]))
+            << name << " " << s << " -> " << d;
+      }
+    }
+  }
+}
+
+TEST(FirstHopPortsTest, UnreachableDestinationsGetNoPort) {
+  Graph g;
+  for (int i = 0; i < 3; ++i) g.add_node("n");
+  g.add_link(0, 1, sim::milliseconds(1));  // node 2 is isolated
+  EXPECT_EQ(first_hop_ports(g, 0), (std::vector<std::int32_t>{-1, 0, -1}));
+  EXPECT_EQ(first_hop_ports(g, 2), (std::vector<std::int32_t>{-1, -1, -1}));
 }
 
 TEST(CentroidTest, PicksMinimaxNode) {
