@@ -1,15 +1,11 @@
 // Hot-path microbenchmarks: event dispatch, fabric forwarding, and a
 // fat-tree campaign job, reported as events per second of wall time.
 //
-// The dispatch pair is the headline: `dispatch.legacy` is a pinned replica
-// of the pre-overhaul simulator core (std::function handlers in a
-// std::priority_queue of whole events — every capture beyond the small
-// buffer heap-allocates, every sift moves multi-hundred-byte events) and
-// `dispatch.inlinefn` is the live sim::Simulator (InlineFn inline storage,
-// slab event pool with a free list, 4-ary heap of pool indices). Both run
-// the identical self-rescheduling workload, so the ratio isolates the event
-// core. Keeping the legacy replica here makes the speedup reproducible
-// forever instead of requiring a checkout of the old tree.
+// `dispatch.inlinefn` runs the live sim::Simulator (InlineFn inline storage,
+// slab event pool with a free list, 4-ary heap of pool indices) on a
+// self-rescheduling workload, so the rate isolates the event core. Its
+// speedup over the std::function + std::priority_queue core it replaced is
+// recorded in CHANGES.md rather than re-measured here.
 //
 // Numbers are a trajectory artifact, not a gate: the bench emits
 // BENCH_hotpath.json (plus the usual --out run report) and CI uploads it so
@@ -19,8 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,84 +36,22 @@ using namespace p4u;
 // p4u-detlint: allow(wall-clock) throughput microbenchmark: wall time is the measurand; results go to the BENCH_hotpath.json trajectory artifact, never into a campaign report
 using BenchClock = std::chrono::steady_clock;
 
-// ---------------------------------------------------------------------------
-// Legacy simulator core, verbatim from the pre-overhaul sim::Simulator.
-// Frozen here as the forever-baseline of the dispatch comparison; do not
-// "optimize" it.
-namespace legacy {
-
-class Simulator {
- public:
-  using Handler = std::function<void()>;
-
-  [[nodiscard]] sim::Time now() const noexcept { return now_; }
-
-  void schedule_in(sim::Duration delay, Handler fn) {
-    if (delay < 0) delay = 0;
-    const sim::Time at =
-        delay > sim::kTimeInfinity - now_ ? sim::kTimeInfinity : now_ + delay;
-    queue_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-
-  std::size_t run() {
-    std::size_t n = 0;
-    while (!queue_.empty()) {
-      const Event& top = queue_.top();
-      const sim::Time at = top.at;
-      Handler fn = std::move(const_cast<Event&>(top).fn);
-      queue_.pop();
-      now_ = at;
-      ++executed_;
-      fn();
-      ++n;
-    }
-    return n;
-  }
-
-  [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
-
- private:
-  struct Event {
-    sim::Time at;
-    std::uint64_t seq;
-    Handler fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
 // Workload: `chains` independent self-rescheduling handlers, each carrying a
-// fabric-handler-sized payload (a Packet-and-context capture is 152 bytes,
-// far past std::function's small buffer). Delays come from a per-chain LCG,
-// so the heap sees interleaved, shuffled expiries rather than FIFO order.
-// The chain count sets the steady-state pending-event population; it is
-// sized to match what campaigns actually hold (the campaign runner reserves
-// ~2.4k slots for a single-flow K=4 fat-tree run and far more for
-// multi-flow specs), because queue depth is where scheduler data-structure
-// choices show up.
+// fabric-handler-sized payload (a Packet-and-context capture is 152 bytes).
+// Delays come from a per-chain LCG, so the heap sees interleaved, shuffled
+// expiries rather than FIFO order. The chain count sets the steady-state
+// pending-event population, because queue depth is where scheduler
+// data-structure choices show up.
 
-// Sized so the chain_step capture below ({Sim&, rng, remaining, Payload})
+// Sized so the chain_step capture below ({Simulator&, rng, remaining, Payload})
 // lands at 152 bytes — exactly what the fabric's deliver handler carries
 // (sizeof(Packet) == 136 plus this/port/node context).
 struct Payload {
   unsigned char bytes[128] = {};
 };
 
-template <typename Sim>
-void chain_step(Sim& sim, std::uint64_t rng, std::uint32_t remaining,
-                Payload p) {
+void chain_step(sim::Simulator& sim, std::uint64_t rng,
+                std::uint32_t remaining, Payload p) {
   if (remaining == 0) return;
   rng = rng * 6364136223846793005ull + 1442695040888963407ull;
   const auto delay = static_cast<sim::Duration>((rng >> 33) & 0xFFFFu);
@@ -130,9 +62,8 @@ void chain_step(Sim& sim, std::uint64_t rng, std::uint32_t remaining,
   });
 }
 
-template <typename Sim>
 double dispatch_events_per_sec(std::uint32_t chains, std::uint32_t steps) {
-  Sim sim;
+  sim::Simulator sim;
   for (std::uint32_t c = 0; c < chains; ++c) {
     chain_step(sim, 0x9E3779B97F4A7C15ull + c, steps, Payload{});
   }
@@ -253,8 +184,8 @@ int main(int argc, char** argv) {
   harness::BenchCliSpec spec;
   spec.program = "hotpath";
   spec.description =
-      "Hot-path microbenchmarks: event dispatch (legacy vs InlineFn core), "
-      "fabric forwarding, fat-tree campaign throughput.";
+      "Hot-path microbenchmarks: event dispatch, fabric forwarding, "
+      "fat-tree campaign throughput.";
   spec.with_runs = true;
   const harness::BenchCli cli =
       harness::parse_bench_cli_or_exit(argc, argv, spec);
@@ -269,18 +200,9 @@ int main(int argc, char** argv) {
   const int reps = cli.smoke ? 3 : 7;
 
   std::vector<CaseResult> results;
-  // Interleave the two cores' repetitions so ambient machine load degrades
-  // both sides alike instead of biasing whichever phase it lands on.
-  double legacy_rate = 0.0;
-  double inline_rate = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    legacy_rate = std::max(
-        legacy_rate, dispatch_events_per_sec<legacy::Simulator>(chains, steps));
-    inline_rate = std::max(
-        inline_rate, dispatch_events_per_sec<sim::Simulator>(chains, steps));
-  }
-  results.push_back({"dispatch.legacy", legacy_rate});
-  results.push_back({"dispatch.inlinefn", inline_rate});
+  results.push_back({"dispatch.inlinefn", best_of(reps, [&] {
+                       return dispatch_events_per_sec(chains, steps);
+                     })});
   results.push_back({"fabric.forward", best_of(reps, [&] {
                        return fabric_forward_events_per_sec(packets);
                      })});
@@ -291,8 +213,6 @@ int main(int argc, char** argv) {
   for (const CaseResult& r : results) {
     std::printf("%-20s %15.0f\n", r.name.c_str(), r.events_per_sec);
   }
-  std::printf("%-20s %14.2fx\n", "dispatch.speedup",
-              inline_rate / legacy_rate);
 
   write_bench_json(cli.out_dir, results, cli.smoke);
   return 0;

@@ -45,9 +45,6 @@ RunOutcome run_single_flow_job(const RunSpec& spec, std::uint64_t seed) {
   params.measure_prep_wallclock = false;  // keep the registry deterministic
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(*spec.graph, params);
-  // Pre-size the event pool from the spec: a single-flow update touches each
-  // node a bounded number of times (service, UNM hops, installs, retries).
-  bed.reserve_events(spec.graph->node_count() * 96 + 512);
 
   net::Flow f;
   f.ingress = spec.old_path.front();
@@ -77,10 +74,6 @@ RunOutcome run_multi_flow_job(const RunSpec& spec, std::uint64_t seed) {
   params.monitor_capacity = params.monitor_capacity || params.congestion_mode;
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(*spec.graph, params);
-  // Event volume scales with both the topology and the flow batch; the
-  // estimate only pre-sizes slabs, so overshoot costs memory, not time.
-  bed.reserve_events(spec.graph->node_count() * 64 + flows.size() * 192 +
-                     512);
 
   std::vector<std::pair<net::FlowId, net::Path>> batch;
   for (const TrafficFlow& tf : flows) {
@@ -136,7 +129,6 @@ RunOutcome run_chaos_job(const RunSpec& spec, std::uint64_t seed) {
 
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(g, params);
-  bed.reserve_events(g.node_count() * 64 + flows.size() * 256 + 512);
 
   std::vector<std::pair<net::FlowId, net::Path>> batch;
   for (const TrafficFlow& tf : flows) {
@@ -218,10 +210,6 @@ RunOutcome run_scale_job(const RunSpec& spec, std::uint64_t seed) {
       spec.scale_flows * 12 / std::max<std::size_t>(g.node_count(), 1);
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(g, params);
-  // The event volume is dominated by the updated subset, not residency:
-  // deployment is instant bring-up, no events.
-  bed.reserve_events(g.node_count() * 64 + spec.scale_update_flows * 192 +
-                     512);
 
   // Synthetic unique ids: splitmix64 is a bijection on uint64, so a
   // million sequential indices give a million distinct FlowIds without
@@ -281,7 +269,6 @@ RunOutcome run_churn_job(const RunSpec& spec, std::uint64_t seed) {
   params.measure_prep_wallclock = false;
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(g, params);
-  bed.reserve_events(g.node_count() * 64 + wl.events.size() * 256 + 1024);
 
   install_churn(bed, wl);
   bed.run(kRunUntil);

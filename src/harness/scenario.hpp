@@ -81,7 +81,8 @@ class TestBed {
     return sharded_.get();
   }
 
-  /// Pre-sizes event storage (split across shards when sharded).
+  /// Capacity hint for the event index (split across shards when sharded);
+  /// handler slabs are allocated on first use (Simulator::reserve).
   void reserve_events(std::size_t n);
 
   /// Writes the K-dependent execution stats — sim.shards, per-shard

@@ -29,12 +29,7 @@ void Simulator::reserve(std::size_t n) {
   if (n > kMaxSlots) n = kMaxSlots;
   heap_.reserve(n);
   free_.reserve(n);
-  const std::size_t want_slabs = (n + kSlabSize - 1) >> kSlabShift;
-  slabs_.reserve(want_slabs);
-  while (slabs_.size() < want_slabs) {
-    slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
-    tags_.resize(tags_.size() + kSlabSize);
-  }
+  slabs_.reserve((n + kSlabSize - 1) >> kSlabShift);
 }
 
 void Simulator::heap_push(HeapEntry e) {

@@ -204,8 +204,11 @@ class Simulator {
     return strategy_;
   }
 
-  /// Pre-sizes the heap and the handler slab for about `n` concurrently
-  /// pending events, so a run of known scale never regrows mid-flight.
+  /// Reserves index capacity for about `n` concurrently pending events: the
+  /// 16-byte heap entries, the free list and the slab table. Handler slabs
+  /// are not allocated here but on first use, one 1,024-slot slab at a
+  /// time, so the pool follows the run's pending peak and an overestimate
+  /// costs address space, not memory.
   void reserve(std::size_t n);
 
   /// Runs events until the queue drains or virtual time exceeds `until`.
@@ -232,6 +235,13 @@ class Simulator {
   /// gauge): how deep the ready queue ever got.
   [[nodiscard]] std::size_t pending_peak() const noexcept {
     return pending_peak_;
+  }
+
+  /// Handler slots allocated so far (slabs x 1,024). A slab is added only
+  /// when every slot is taken, so this is at most pending_peak() + 1 (the
+  /// running handler keeps its slot) rounded up to a whole slab.
+  [[nodiscard]] std::size_t pool_slots() const noexcept {
+    return slabs_.size() * kSlabSize;
   }
 
   /// Total number of events executed since construction.

@@ -107,8 +107,8 @@ class ShardedSimulator {
   std::size_t run(Time until = kTimeInfinity,
                   const Checkpoint& checkpoint = {}, Duration cadence = 0);
 
-  /// Pre-sizes each shard's heap and slab for about `n` pending events
-  /// split evenly across shards.
+  /// Reserves each shard's index capacity (Simulator::reserve) for about
+  /// `n` pending events split evenly across shards.
   void reserve(std::size_t n);
 
   /// Totals across shards (deterministic: same event set for every K).

@@ -127,6 +127,8 @@ TEST(ChurnInstallTest, AllRequestsTerminalOnEverySystem) {
     params.admission.max_inflight_per_flow = 1;
     params.admission.coalesce = true;
     TestBed bed(ft.graph, params);
+    // A capacity hint far above the run's needs must not size the pool.
+    bed.reserve_events(1u << 20);
     install_churn(bed, wl);
     bed.run(sim::seconds(120));
     EXPECT_TRUE(bed.flow_db().all_requests_terminal())
@@ -134,6 +136,13 @@ TEST(ChurnInstallTest, AllRequestsTerminalOnEverySystem) {
     EXPECT_GT(bed.system().admission().dispatched_total(), 0u);
     EXPECT_EQ(bed.monitor().violations().loops, 0u) << to_string(kind);
     EXPECT_EQ(bed.monitor().violations().blackholes, 0u) << to_string(kind);
+
+    // Slabs come from the run: its pending peak plus the running handler's
+    // slot, rounded up to whole 1,024-slot slabs.
+    const sim::Simulator& s = bed.simulator();
+    const std::size_t bound = (s.pending_peak() + 1 + 1023) / 1024 * 1024;
+    EXPECT_GT(s.pool_slots(), 0u) << to_string(kind);
+    EXPECT_LE(s.pool_slots(), bound) << to_string(kind);
   }
 }
 

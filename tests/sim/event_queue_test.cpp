@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 namespace p4u::sim {
@@ -129,6 +131,48 @@ TEST(SimulatorTest, ExecutedCounterAccumulates) {
   for (int i = 0; i < 7; ++i) sim.schedule_in(i, [] {});
   sim.run();
   EXPECT_EQ(sim.executed(), 7u);
+}
+
+// Schedules `n` events at LCG-shuffled offsets in [0, 997) ns from now, so
+// many share an instant; each appends its schedule index to `popped` when it
+// runs. Returns the expected pop order: the indices sorted by (at, index).
+std::vector<std::size_t> schedule_shuffled(Simulator& sim, std::size_t n,
+                                           std::vector<std::size_t>& popped) {
+  std::vector<Time> at(n);
+  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+  for (std::size_t i = 0; i < n; ++i) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    at[i] = sim.now() + static_cast<Time>((lcg >> 33) % 997);
+    sim.schedule_at(at[i], [&popped, i] { popped.push_back(i); });
+  }
+  std::vector<std::size_t> expected(n);
+  for (std::size_t i = 0; i < n; ++i) expected[i] = i;
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [&at](std::size_t a, std::size_t b) { return at[a] < at[b]; });
+  return expected;
+}
+
+TEST(SimulatorPoolTest, SlabsAreAllocatedOnFirstUseAndRecycled) {
+  Simulator sim;
+  sim.reserve(1u << 20);  // index capacity only: no handler slab yet
+  EXPECT_EQ(sim.pool_slots(), 0u);
+  std::vector<std::size_t> popped;
+
+  // 5,000 pending events need five 1,024-slot slabs; the pop order must
+  // stay (at, seq) across the slab boundaries.
+  std::vector<std::size_t> expected = schedule_shuffled(sim, 5000, popped);
+  EXPECT_EQ(sim.pool_slots(), 5u * 1024u);
+  EXPECT_EQ(sim.run(), 5000u);
+  EXPECT_EQ(popped, expected);
+  EXPECT_EQ(sim.pending_peak(), 5000u);
+
+  // A second wave of the same size reuses the recycled slots.
+  popped.clear();
+  expected = schedule_shuffled(sim, 5000, popped);
+  EXPECT_EQ(sim.pool_slots(), 5u * 1024u);
+  EXPECT_EQ(sim.run(), 5000u);
+  EXPECT_EQ(popped, expected);
 }
 
 TEST(TimeTest, ConversionHelpers) {
