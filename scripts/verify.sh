@@ -23,15 +23,14 @@ cmake -B build-asan -S . -DP4U_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-echo "== tier-1: TSan build + parallel-runner/campaign/sharded tests =="
+echo "== tier-1: TSan build + parallel-runner/campaign tests =="
 # TSan and ASan are mutually exclusive, so this is a third tree; only the
-# threaded code paths (the campaign's worker pool and the sharded engine's
-# shard workers) need the data-race pass.
+# threaded code path (the campaign's worker pool) needs the data-race pass.
 cmake -B build-tsan -S . -DP4U_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   >/dev/null
-cmake --build build-tsan -j "$JOBS" --target harness_test sim_test
+cmake --build build-tsan -j "$JOBS" --target harness_test
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'ParallelRunner|Campaign|Sharded'
+  -R 'ParallelRunner|Campaign'
 
 echo "== tier-1: -Werror hardened build + static analysis =="
 cmake -B build-lint -S . -DP4U_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \

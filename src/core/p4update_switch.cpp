@@ -26,7 +26,7 @@ const char* alarm_code_name(AlarmCode code) {
 
 void count_verify(SwitchDevice& sw, const char* outcome) {
   sw.fabric()
-      .registry_for(sw.id())
+      .metrics()
       .counter("p4update.verify", {{"switch", std::to_string(sw.id())},
                                    {"outcome", outcome}})
       .inc();
@@ -132,7 +132,7 @@ void P4UpdateSwitch::alarm(SwitchDevice& sw, FlowId f, Version v,
                            AlarmCode code) {
   ++rejects_;
   sw.fabric()
-      .registry_for(id_)
+      .metrics()
       .counter("p4update.alarms", {{"switch", std::to_string(id_)},
                                    {"code", alarm_code_name(code)}})
       .inc();
@@ -170,7 +170,7 @@ void P4UpdateSwitch::arm_watchdog(SwitchDevice& sw,
   const FlowId flow = uim.flow;
   const Version version = uim.version;
   const bool is_ingress = uim.child_port < 0;
-  fabric->registry_for(node)
+  fabric->metrics()
       .counter("p4update.watchdog_armed", {{"switch", std::to_string(node)}})
       .inc();
   sw.simulator().schedule_in(
@@ -189,7 +189,7 @@ void P4UpdateSwitch::arm_watchdog(SwitchDevice& sw,
             uib_.applied(flow).new_version < version ||
             (is_ingress && !completion_reported(flow, version));
         if (!stalled) return;
-        fabric->registry_for(node)
+        fabric->metrics()
             .counter("p4update.watchdog_fired",
                      {{"switch", std::to_string(node)}})
             .inc();
@@ -389,7 +389,7 @@ void P4UpdateSwitch::after_state_change(SwitchDevice& sw,
     if (reported_v >= uim.version) return;  // already reported
     reported_v = uim.version;
     sw.fabric()
-        .registry_for(id_)
+        .metrics()
         .counter("p4update.update_completed", {{"switch", std::to_string(id_)}})
         .inc();
     sw.fabric().trace().add({sw.now(), TraceKind::kUpdateCompleted, id_,

@@ -40,11 +40,6 @@ struct BenchCliSpec {
   /// Enables --static-verify: cross-check every cell against the static
   /// update-plan verifier (DESIGN.md §12) and gate on verdict agreement.
   bool with_static_verify = false;
-  /// Enables --shards <K>: run each seeded job on the K-way sharded
-  /// parallel engine (DESIGN.md §13). Conflicts with --strategy and
-  /// --replay (strategies steer one global ready set) are hard usage
-  /// errors; the campaign divides --jobs by K so the core budget holds.
-  bool with_shards = false;
   /// Arguments starting with one of these prefixes are left in argv for a
   /// downstream parser (e.g. "--benchmark" for google-benchmark).
   std::vector<std::string> passthrough_prefixes;
@@ -69,9 +64,6 @@ struct BenchCli {
   /// --static-verify (with_static_verify only): run the static verifier
   /// alongside the dynamic cells and fail on any verdict disagreement.
   bool static_verify = false;
-  /// --shards <K> (with_shards only): 0 = the legacy single-threaded
-  /// engine; K >= 1 = the sharded engine with K workers per job.
-  int shards = 0;
 
   /// Run count for a spec whose table default is `table_runs`: an explicit
   /// --runs wins, then --smoke caps at 3, else the table value.

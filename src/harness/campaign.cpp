@@ -408,19 +408,8 @@ std::vector<SpecResult> Campaign::run(int jobs) const {
     for (int r = 0; r < specs_[s].runs; ++r) expanded.push_back({s, r});
   }
 
-  // Seeds x shards composition: a sharded job occupies bed.shards cores by
-  // itself, so the worker count shrinks by the widest spec's shard count —
-  // `--jobs 8` with 4-way sharded beds runs 2 jobs at a time, keeping the
-  // core budget (and the machine) at the requested width.
-  int max_shards = 1;
-  for (const RunSpec& s : specs_) {
-    max_shards = std::max(max_shards, s.bed.shards);
-  }
-  const int workers =
-      std::max(1, resolve_jobs(jobs) / std::max(1, max_shards));
-
   std::vector<RunOutcome> outcomes =
-      parallel_map_indexed(expanded.size(), workers, [&](std::size_t i) {
+      parallel_map_indexed(expanded.size(), jobs, [&](std::size_t i) {
         return execute_run(specs_[expanded[i].spec], expanded[i].run);
       });
 

@@ -118,20 +118,6 @@ struct TestBedParams {
   /// outlive the TestBed. Installed before any event is scheduled, so even
   /// construction-time fault events are under strategy control.
   sim::ScheduleStrategy* strategy = nullptr;
-  /// Sharded parallel engine (DESIGN.md §13). 0 = the historical
-  /// single-threaded path, untouched. K >= 1 switches to the keyed sharded
-  /// engine: switches are partitioned into K logical processes executing
-  /// conservative time windows; K = 1 runs the same keyed semantics inline
-  /// (no threads) and is the byte-identity baseline for every K > 1.
-  /// Incompatible with fault plans, traffic, and traces; a run with a
-  /// ScheduleStrategy transparently falls back to the legacy engine.
-  int shards = 0;
-  /// Virtual-time cadence of the invariant-monitor sweep in sharded mode.
-  /// The monitor walks global switch state, so it cannot ride per-install
-  /// notifications off arbitrary worker threads; instead it runs between
-  /// windows at every multiple of this interval (and once at end of run),
-  /// at identical virtual times for every K.
-  sim::Duration shard_check_interval = sim::milliseconds(10);
   /// Request admission in front of the controller (control/admission.hpp):
   /// bounded in-flight updates, deterministic FIFO, per-flow coalescing.
   /// The default (both bounds 0) is a strict pass-through — every

@@ -55,11 +55,7 @@ sim::Time ControlChannel::reserve_service_slot(sim::Duration service) {
   return busy_until_;
 }
 
-obs::MetricsRegistry& ControlChannel::metrics() {
-  // The controller context is node -1: metrics() when unsharded, shard 0's
-  // private registry when sharded (controller apps only ever run there).
-  return fabric_.registry_for(-1);
-}
+obs::MetricsRegistry& ControlChannel::metrics() { return fabric_.metrics(); }
 
 void ControlChannel::send_to_switch(NodeId sw, Packet pkt) {
   metrics().counter("ctrl.msgs_out", {{"msg", message_kind(pkt)}}).inc();
@@ -73,30 +69,14 @@ void ControlChannel::send_to_switch(NodeId sw, Packet pkt) {
   // sequenced within the call.
   const net::FlowId flow = pkt.flow();
   const sim::EventTag tag{sw, sim::EventClass::kDelivery, flow};
-  if (fabric_.sharded()) {
-    // arrival >= now + latency(sw) >= now + lookahead, so the post always
-    // clears the receiving shard's window (the engine's lookahead is the
-    // minimum over cut links and off-shard-0 control latencies).
-    fabric_.schedule_sharded_at(
-        -1, sw, arrival, tag,
-        sim::Simulator::Handler([this, sw, pkt = std::move(pkt)]() mutable {
-          fabric_.sw(sw).receive(std::move(pkt), /*in_port=*/-1);
-        }));
-    return;
-  }
   sim_.schedule_at(arrival, tag, [this, sw, pkt = std::move(pkt)]() mutable {
     fabric_.sw(sw).receive(std::move(pkt), /*in_port=*/-1);
   });
 }
 
 void ControlChannel::deliver_to_controller(NodeId from, Packet pkt) {
-  // Accounted in the *sender's* registry: this runs in switch `from`'s
-  // execution context. The per-kind cells from different shards sum at
-  // merge time (integer counters commute).
-  fabric_.registry_for(from)
-      .counter("ctrl.msgs_in", {{"msg", message_kind(pkt)}})
-      .inc();
-  const sim::Time arrival = fabric_.now_for(from) + latency(from);
+  metrics().counter("ctrl.msgs_in", {{"msg", message_kind(pkt)}}).inc();
+  const sim::Time arrival = sim_.now() + latency(from);
   auto on_arrival = [this, from, pkt = std::move(pkt)]() mutable {
     // Queue for the controller's single service thread.
     const sim::Time handled_at = reserve_service_slot(recv_service_);
@@ -106,11 +86,6 @@ void ControlChannel::deliver_to_controller(NodeId from, Packet pkt) {
                        if (app_ != nullptr) app_->handle_from_switch(from, pkt);
                      });
   };
-  if (fabric_.sharded()) {
-    fabric_.schedule_sharded_at(from, -1, arrival, kCtrlTag,
-                                sim::Simulator::Handler(std::move(on_arrival)));
-    return;
-  }
   sim_.schedule_at(arrival, kCtrlTag, std::move(on_arrival));
 }
 

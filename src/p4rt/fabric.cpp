@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/parallel_sim.hpp"
 #include "sim/time.hpp"
 
 namespace p4u::p4rt {
@@ -64,80 +63,6 @@ Fabric::Fabric(sim::Simulator& sim, const net::Graph& graph,
                        [this, e] { apply_fault(e); });
     }
   }
-}
-
-void Fabric::attach_shards(sim::ShardedSimulator& engine,
-                           net::ShardPlan plan) {
-  if (!plan_.events().empty() || model_.control_drop_prob > 0.0 ||
-      model_.data_drop_prob > 0.0 || model_.reorder_jitter > 0) {
-    throw std::invalid_argument(
-        "Fabric::attach_shards: fault plans and probabilistic fault models "
-        "draw from one RNG stream and are not shardable");
-  }
-  if (trace_.enabled()) {
-    throw std::invalid_argument(
-        "Fabric::attach_shards: the trace is one ordered log with many "
-        "writers; disable it before sharding");
-  }
-  if (plan.shard_of.size() != graph_.node_count() ||
-      plan.shards != engine.shards()) {
-    throw std::invalid_argument(
-        "Fabric::attach_shards: shard plan does not match topology/engine");
-  }
-  if (&engine.shard(0) != &sim_) {
-    throw std::invalid_argument(
-        "Fabric::attach_shards: the fabric must be constructed on the "
-        "engine's shard 0 simulator");
-  }
-  sharded_ = &engine;
-  shard_plan_ = std::move(plan);
-  shard_metrics_.clear();
-  for (int s = 0; s < engine.shards(); ++s) {
-    shard_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
-  }
-  hop_latency_by_node_.assign(graph_.node_count(), {});
-}
-
-sim::Simulator& Fabric::sim_for(NodeId node) {
-  if (sharded_ == nullptr) return sim_;
-  return sharded_->shard(shard_of(node));
-}
-
-sim::Time Fabric::now_for(NodeId node) {
-  return sim_for(node).now();
-}
-
-void Fabric::merge_shard_metrics() {
-  if (shard_metrics_merged_) return;
-  shard_metrics_merged_ = true;
-  for (const auto& reg : shard_metrics_) metrics_.merge_from(*reg);
-}
-
-void Fabric::schedule_sharded(NodeId exec_ctx, NodeId owner,
-                              sim::Duration delay, sim::EventTag tag,
-                              sim::Simulator::Handler&& fn) {
-  const sim::Time now = now_for(exec_ctx);
-  const sim::Time at =
-      delay > sim::kTimeInfinity - now ? sim::kTimeInfinity : now + delay;
-  schedule_sharded_at(exec_ctx, owner, at, tag, std::move(fn));
-}
-
-void Fabric::schedule_sharded_at(NodeId exec_ctx, NodeId owner, sim::Time at,
-                                 sim::EventTag tag,
-                                 sim::Simulator::Handler&& fn) {
-  sharded_->schedule_from(shard_of(exec_ctx), shard_of(owner), at, tag,
-                          std::move(fn));
-}
-
-obs::Histogram& Fabric::hop_latency_for(NodeId from, bool is_data) {
-  auto& pair = hop_latency_by_node_[static_cast<std::size_t>(from)];
-  obs::Histogram& h = pair[is_data ? 1 : 0];
-  if (!h.resolved()) {
-    h = registry_for(from).histogram(
-        "fabric.hop_latency_ms", {{"class", is_data ? "data" : "control"},
-                                  {"switch", std::to_string(from)}});
-  }
-  return h;
 }
 
 ObserverHandle Fabric::subscribe(FabricObserver* obs) {
@@ -231,13 +156,8 @@ obs::Counter& Fabric::msg_counter(std::vector<KindCounters>& family,
                                   const Packet& pkt) {
   obs::Counter& c =
       family[static_cast<std::size_t>(node)].by_kind[pkt.kind_index()];
-  // In sharded mode the cell lives in the registry of the shard owning
-  // `node`, which is also the only shard that increments it: tx/inject/
-  // reorder/link-down-drop account at the sender, rx at the receiver, and
-  // the crash-drop path (the one `from`-labeled cell touched from `to`'s
-  // context) is unreachable because sharding rejects fault plans.
   if (!c.resolved()) {
-    c = registry_for(node).counter(name, switch_msg_labels(node, pkt));
+    c = metrics_.counter(name, switch_msg_labels(node, pkt));
   }
   return c;
 }
@@ -319,16 +239,6 @@ void Fabric::transmit(NodeId from, std::int32_t out_port, Packet pkt) {
   // indeterminately sequenced within the schedule_in call.
   const FlowId flow = pkt.flow();
   const sim::EventTag tag{to, sim::EventClass::kDelivery, flow};
-  if (sharded_ != nullptr) [[unlikely]] {
-    hop_latency_for(from, is_data).observe(sim::to_ms(latency));
-    schedule_sharded(
-        from, to, latency, tag,
-        sim::Simulator::Handler(
-            [this, from, to, in_port, pkt = std::move(pkt)]() mutable {
-              deliver_from_link(from, to, in_port, std::move(pkt));
-            }));
-    return;
-  }
   (is_data ? hop_latency_data_ : hop_latency_control_)
       .observe(sim::to_ms(latency));
   sim_.schedule_in(latency, tag,
@@ -341,9 +251,7 @@ void Fabric::deliver_from_link(NodeId from, NodeId to, std::int32_t in_port,
                                Packet pkt) {
   // A switch that crashed while the packet was in flight eats it:
   // accounted as a fabric drop (tx = rx + drop stays an invariant),
-  // attributed to the transmitting hop like every other drop. Dead in
-  // sharded mode (crashes require a fault plan), so the cross-context
-  // `from`-labeled counter touch below cannot race.
+  // attributed to the transmitting hop like every other drop.
   if (sw(to).crashed()) {
     msg_counter(drop_counters_, "fabric.drop", from, pkt).inc();
     if (!crash_drops_.resolved()) {
@@ -372,17 +280,6 @@ void Fabric::inject(NodeId at, Packet pkt, std::int32_t in_port) {
   msg_counter(inject_counters_, "fabric.inject", at, pkt).inc();
   const FlowId flow = pkt.flow();  // hoisted past the move-capture below
   const sim::EventTag tag{at, sim::EventClass::kDelivery, flow};
-  if (sharded_ != nullptr) [[unlikely]] {
-    // Injection happens from the root context (setup code or a shard-0
-    // scenario event), never from the target switch's handler; mid-window
-    // cross-shard injection trips post_cross's lookahead check, loudly.
-    schedule_sharded(-1, at, 0, tag,
-                     sim::Simulator::Handler(
-                         [this, at, in_port, pkt = std::move(pkt)]() mutable {
-                           sw(at).receive(std::move(pkt), in_port);
-                         }));
-    return;
-  }
   sim_.schedule_in(0, tag, [this, at, in_port, pkt = std::move(pkt)]() mutable {
     sw(at).receive(std::move(pkt), in_port);
   });

@@ -153,8 +153,8 @@ class SwitchDevice {
   // --- Environment access for pipelines ---
   [[nodiscard]] Fabric& fabric() noexcept { return fabric_; }
   [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
-  [[nodiscard]] sim::Time now() const;
-  [[nodiscard]] sim::Simulator& simulator();
+  [[nodiscard]] sim::Time now() const noexcept { return sim_.now(); }
+  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
 
  private:
   void enqueue_for_service(Packet pkt, std::int32_t in_port);
@@ -172,6 +172,7 @@ class SwitchDevice {
   obs::Counter& installs_rejected_counter();
 
   Fabric& fabric_;
+  sim::Simulator& sim_;  // fabric_.simulator(), held so now() is inline
   NodeId id_;
   SwitchParams params_;
   sim::Rng rng_;

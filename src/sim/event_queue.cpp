@@ -117,10 +117,6 @@ bool Simulator::pop_and_run(Time until) {
   Handler& fn = slot(top.idx());
   now_ = top.at;
   ++executed_;
-  // Attribute everything the handler schedules to this event's node, so
-  // OrderDomain keys depend only on the (K-independent) per-node handler
-  // sequence. One predictable branch on the legacy path.
-  if (order_ != nullptr) order_->set_current_origin(tags_[top.idx()].node);
   // Run the handler in place in its slab slot. The slot is not on the free
   // list while the handler runs, so the handler may freely schedule new
   // events (they take other slots); destroy and recycle happen only after
