@@ -21,7 +21,7 @@ EzSegwaySwitch::EzSegwaySwitch(net::NodeId id, const net::Graph& graph,
 
 void EzSegwaySwitch::bootstrap_flow(SwitchDevice& sw, net::FlowId f,
                                     std::int32_t egress_port, double size) {
-  flow_size_[f] = size;
+  flow_size_.write(size_index_, f, size);
   sw.set_rule_now(f, egress_port);
 }
 
@@ -53,7 +53,9 @@ void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
   const Key key{cmd.flow, cmd.version};
   PendingUpdate& pu = pending_[key];
   pu.cmd = cmd;
-  if (cmd.flow_size > 0.0) flow_size_[cmd.flow] = cmd.flow_size;
+  if (cmd.flow_size > 0.0) {
+    flow_size_.write(size_index_, cmd.flow, cmd.flow_size);
+  }
   if (cmd.retrigger) {
     // Controller resend: every message this node already owed may have been
     // lost, so re-emit — duplicates are absorbed by the installed flag, the
@@ -100,23 +102,24 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
   if (cur && *cur == port) return true;  // capacity already held
   const auto& adj = graph_->neighbors(id_).at(static_cast<std::size_t>(port));
   const double capacity = graph_->link(adj.link).capacity;
+  // Flow-id order: the sum, and so the verdict, is bit-stable. An unsized
+  // flow adds +0.0, which leaves a non-negative sum unchanged.
   double used = 0.0;
   for (const auto& [flow, p] : sw.rules()) {
-    if (flow == pu.cmd.flow || p != port) continue;
-    auto it = flow_size_.find(flow);
-    if (it != flow_size_.end()) used += it->second;
+    if (flow != pu.cmd.flow && p == port) {
+      used += flow_size_.read(size_index_, flow);
+    }
   }
   // In-flight installs hold capacity too (the rule write takes time).
   for (const auto& [flow, p] : inflight_) {
     if (flow == pu.cmd.flow || p != port) continue;
     const auto cur2 = sw.lookup(flow);
     if (cur2 && *cur2 == port) continue;
-    auto it = flow_size_.find(flow);
-    if (it != flow_size_.end()) used += it->second;
+    used += flow_size_.read(size_index_, flow);
   }
-  auto size_it = flow_size_.find(pu.cmd.flow);
-  const double size = size_it == flow_size_.end() ? 0.0 : size_it->second;
-  if (capacity - used < size) return false;
+  if (capacity - used < flow_size_.read(size_index_, pu.cmd.flow)) {
+    return false;
+  }
   // Static priorities: a lower-priority move yields while a strictly
   // higher-priority pending move at this node targets the same port.
   for (const auto& [key, other] : pending_) {
@@ -249,6 +252,7 @@ void EzSegwaySwitch::on_crash(SwitchDevice& sw) {
   pending_.clear();
   retry_since_.clear();
   inflight_.clear();
+  size_index_.clear();
   flow_size_.clear();
 }
 

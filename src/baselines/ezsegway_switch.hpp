@@ -18,7 +18,9 @@
 #include <set>
 #include <vector>
 
+#include "net/flow_index.hpp"
 #include "p4rt/fabric.hpp"
+#include "p4rt/register_array.hpp"
 #include "p4rt/switch_device.hpp"
 
 namespace p4u::baseline {
@@ -82,7 +84,11 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   EzSwitchParams params_;
   std::map<Key, PendingUpdate> pending_;
   std::map<Key, sim::Time> retry_since_;
-  std::map<net::FlowId, double> flow_size_;
+  // The flow_size register (0 for a flow never sized), flat over the
+  // pipeline's own index: it outlives the flow's rule, so it cannot share
+  // the device's (DESIGN.md §10).
+  net::FlowIndex size_index_;
+  p4rt::FlatRegisterArray<double> flow_size_{0.0};
   std::map<net::FlowId, std::int32_t> inflight_;  // approved, not yet active
   std::vector<std::int32_t> next_hop_port_;  // static mgmt routing, per dest
   std::uint64_t notifies_sent_ = 0;

@@ -1,72 +1,25 @@
-// Stateful P4 primitives: register arrays and match-action tables.
+// Stateful P4 primitive: the flow-indexed register array.
 //
 // P4 registers are persistent arrays writable from both planes (§2.1); the
 // P4Update prototype keys them by flow ID (§10: "indexed by the flow ID").
 // BMv2 registers are fixed-size arrays indexed by a hash of the flow; we
-// model the same semantics with sparse storage plus a default value, which
+// model the same semantics with a flat pool plus a default value, which
 // keeps "never written" reads well-defined (P4 registers zero-initialize).
+// The forwarding table itself (the egress_port register) lives in
+// SwitchDevice, on the same FlowIndex idiom.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "net/flow_index.hpp"
 
 namespace p4u::p4rt {
 
-template <typename T>
-class RegisterArray {
- public:
-  explicit RegisterArray(T default_value = T{})
-      : default_(default_value) {}
-
-  /// Read register at `index`; unwritten cells hold the default.
-  [[nodiscard]] T read(std::uint64_t index) const {
-    ++reads_;
-    auto it = cells_.find(index);
-    return it == cells_.end() ? default_ : it->second;
-  }
-
-  /// Write register at `index`.
-  void write(std::uint64_t index, T value) {
-    ++writes_;
-    cells_[index] = value;
-  }
-
-  /// Resets one cell to the default (rule cleanup).
-  void clear(std::uint64_t index) { cells_.erase(index); }
-
-  /// Resets the whole array (controller-side reinitialization).
-  void clear_all() { cells_.clear(); }
-
-  [[nodiscard]] bool written(std::uint64_t index) const {
-    return cells_.count(index) != 0;
-  }
-
-  [[nodiscard]] std::size_t populated() const noexcept {
-    return cells_.size();
-  }
-
-  /// Access volume (plane-agnostic), for the observability layer. BMv2
-  /// register ops are the unit the paper's overhead argument counts in.
-  [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
-  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
-
- private:
-  std::unordered_map<std::uint64_t, T> cells_;
-  T default_;
-  mutable std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-};
-
-/// Index-addressed register array: the million-flow variant of
-/// RegisterArray. Instead of hashing the 64-bit flow id per access into a
-/// node-based map, cells live in a flat pool addressed by the dense
-/// FlowHandle of a shared net::FlowIndex (one interning per flow, however
-/// many registers the switch keeps). Same semantics as RegisterArray —
-/// unwritten cells read as the default, and every access bumps the
-/// plane-agnostic read/write counters the observability layer exports —
-/// so swapping one for the other never changes exported metrics.
+/// Index-addressed register array: cells live in a flat pool addressed by
+/// the dense FlowHandle of a shared net::FlowIndex (one interning per flow,
+/// however many registers the switch keeps). Unwritten cells read as the
+/// default, and every access bumps the plane-agnostic read/write counters
+/// the observability layer exports.
 ///
 /// The owner passes the index explicitly: reads resolve (find) without
 /// creating a handle, writes intern. `read_at`/`write_at` skip the lookup
@@ -109,35 +62,6 @@ class FlatRegisterArray {
   net::FlowPool<T> pool_;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
-};
-
-/// Exact-match match-action table: key -> action data. The P4Update
-/// forwarding table matches the flow ID and returns the egress port read
-/// from the egress_port register.
-template <typename Key, typename ActionData>
-class MatchActionTable {
- public:
-  /// Returns the action data on hit, or nullptr on miss.
-  [[nodiscard]] const ActionData* match(const Key& key) const {
-    auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-
-  void insert(const Key& key, ActionData data) {
-    entries_[key] = std::move(data);
-  }
-
-  void erase(const Key& key) { entries_.erase(key); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  [[nodiscard]] const std::unordered_map<Key, ActionData>& entries()
-      const noexcept {
-    return entries_;
-  }
-
- private:
-  std::unordered_map<Key, ActionData> entries_;
 };
 
 }  // namespace p4u::p4rt

@@ -1,5 +1,6 @@
 #include "p4rt/switch_device.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -189,9 +190,37 @@ void SwitchDevice::resubmit(Packet pkt, std::int32_t in_port) {
 }
 
 std::optional<std::int32_t> SwitchDevice::lookup(FlowId flow) const {
-  auto it = rules_.find(flow);
-  if (it == rules_.end()) return std::nullopt;
-  return it->second;
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return std::nullopt;
+  const std::int32_t port = entries_[h].port;
+  if (port == kNoPort) return std::nullopt;
+  return port;
+}
+
+SwitchDevice::RuleEntry& SwitchDevice::entry(FlowId flow) {
+  const net::FlowHandle h = index_.intern(flow);
+  if (h >= entries_.size()) entries_.resize(index_.slot_count());
+  return entries_[h];
+}
+
+void SwitchDevice::set_port(RuleEntry& e, std::int32_t port) {
+  if (e.port == port) return;
+  e.port = port;
+  view_dirty_ = true;
+}
+
+const std::vector<std::pair<FlowId, std::int32_t>>& SwitchDevice::rules()
+    const {
+  if (view_dirty_) {
+    view_.clear();
+    index_.for_each([this](net::FlowHandle h, FlowId flow) {
+      const std::int32_t port = entries_[h].port;
+      if (port != kNoPort) view_.emplace_back(flow, port);
+    });
+    std::sort(view_.begin(), view_.end());
+    view_dirty_ = false;
+  }
+  return view_;
 }
 
 sim::Duration SwitchDevice::sample_install_delay() {
@@ -214,10 +243,11 @@ void SwitchDevice::install_rule(FlowId flow, std::int32_t port,
   const sim::Duration delay =
       quick ? params_.register_write_delay : sample_install_delay();
   sim::Time done = now() + delay;
-  auto [it, inserted] = install_tail_.try_emplace(flow, done);
-  if (!inserted) {
-    done = std::max(done, it->second + 1);
-    it->second = done;
+  {
+    RuleEntry& e = entry(flow);
+    if (e.tail != kNoTail) done = std::max(done, e.tail + 1);
+    e.tail = done;
+    ++e.pending;
   }
   simulator().schedule_at(done,
                           switch_tag(id_, sim::EventClass::kInstall, flow),
@@ -228,7 +258,12 @@ void SwitchDevice::install_rule(FlowId flow, std::int32_t port,
       installs_rejected_counter().inc();
       return;
     }
-    rules_[flow] = port;
+    {
+      // The pending count held the handle since issue, so `flow` is live.
+      RuleEntry& e = entries_[index_.find(flow)];
+      set_port(e, port);
+      --e.pending;
+    }
     ++installs_completed_;
     rule_installs_counter().inc();
     fabric_.trace().add(
@@ -243,11 +278,22 @@ void SwitchDevice::set_rule_now(FlowId flow, std::int32_t port) {
     installs_rejected_counter().inc();
     return;
   }
-  rules_[flow] = port;
+  set_port(entry(flow), port);
   fabric_.notify_rule_installed(id_, flow, port);
 }
 
-void SwitchDevice::remove_rule(FlowId flow) { rules_.erase(flow); }
+void SwitchDevice::remove_rule(FlowId flow) {
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return;
+  RuleEntry& e = entries_[h];
+  set_port(e, kNoPort);
+  // A tail in the past can no longer delay a later install, so forgetting
+  // it is exact; a pending install or a tail at `now` keeps the entry.
+  if (e.pending == 0 && e.tail < now()) {
+    e = RuleEntry{};
+    index_.release(flow);
+  }
+}
 
 void SwitchDevice::crash() {
   if (crashed_) return;
@@ -256,8 +302,10 @@ void SwitchDevice::crash() {
   // Everything volatile dies with the process: the forwarding table, the
   // service queue (stale-epoch events count themselves as crash-dropped when
   // they fire), pending install completions, and pipeline registers.
-  rules_.clear();
-  install_tail_.clear();
+  index_.clear();
+  entries_.clear();
+  view_.clear();
+  view_dirty_ = false;
   busy_until_ = 0;
   queue_depth_ = 0;
   queue_depth_gauge().set(0.0);

@@ -2,7 +2,8 @@
 //
 // Models the BMv2 target the paper runs on:
 //   - a single packet-processing thread (FIFO + per-packet service time),
-//   - a forwarding table keyed by flow ID,
+//   - a forwarding table keyed by flow ID (flat: one FlowIndex handle per
+//     flow addresses a dense entry array, DESIGN.md §10),
 //   - rule installs that take time (base install delay, plus the optional
 //     exp(100 ms) "straggler" delay of the paper's single-flow setup),
 //   - the P4 primitives pipelines use: forward, clone-to-port, resubmit,
@@ -13,12 +14,16 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/flow.hpp"
+#include "net/flow_index.hpp"
 #include "obs/metrics.hpp"
 #include "p4rt/packet.hpp"
 #include "sim/event_queue.hpp"
@@ -125,11 +130,15 @@ class SwitchDevice {
   /// Writes a rule instantly (initial configuration bring-up, not timed).
   void set_rule_now(FlowId flow, std::int32_t port);
 
+  /// Deletes the flow's rule. Its entry (and install tail) is released only
+  /// when no install is pending and the tail lies in the past, so a later
+  /// install still retires behind every earlier one.
   void remove_rule(FlowId flow);
 
-  [[nodiscard]] const std::map<FlowId, std::int32_t>& rules() const noexcept {
-    return rules_;
-  }
+  /// Every rule as (flow, port), ascending by flow id. Rebuilt only after a
+  /// rule changed; the congestion readers sum over it in this order.
+  [[nodiscard]] const std::vector<std::pair<FlowId, std::int32_t>>& rules()
+      const;
 
   /// Count of timed installs completed (tests assert on install volume).
   [[nodiscard]] std::uint64_t installs_completed() const noexcept {
@@ -184,11 +193,29 @@ class SwitchDevice {
   obs::Counter installs_rejected_;
   std::array<obs::Counter, kPacketKindCount> handled_;
   Pipeline* pipeline_ = nullptr;
-  std::map<FlowId, std::int32_t> rules_;
-  // Per-flow tail of scheduled install completions: register writes retire
-  // in issue order, so a straggling older install can never overwrite a
-  // faster newer one (fast-forward safety).
-  std::map<FlowId, sim::Time> install_tail_;
+
+  // The forwarding table: one entry per interned flow, addressed by its
+  // FlowIndex handle. Entries are reached through `entry()` or
+  // `entries_[h]` and never held across a call that can intern.
+  static constexpr std::int32_t kNoPort =
+      std::numeric_limits<std::int32_t>::min();
+  static constexpr sim::Time kNoTail = std::numeric_limits<sim::Time>::min();
+  struct RuleEntry {
+    std::int32_t port = kNoPort;  // kNoPort: no rule (blackhole)
+    // Completions not yet retired; the handle is kept while any is pending.
+    std::uint32_t pending = 0;
+    // Latest scheduled install completion: register writes retire in issue
+    // order, so a straggling older install can never overwrite a faster
+    // newer one (fast-forward safety). kNoTail: no install issued.
+    sim::Time tail = kNoTail;
+  };
+  RuleEntry& entry(FlowId flow);
+  void set_port(RuleEntry& e, std::int32_t port);
+
+  net::FlowIndex index_;
+  std::vector<RuleEntry> entries_;
+  mutable std::vector<std::pair<FlowId, std::int32_t>> view_;
+  mutable bool view_dirty_ = false;
   sim::Time busy_until_ = 0;
   std::uint64_t queue_depth_ = 0;  // packets scheduled but not yet processed
   std::uint64_t installs_completed_ = 0;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "net/topologies.hpp"
 
 namespace p4u::baseline {
@@ -141,6 +146,61 @@ TEST(EzSegwaySwitchTest, SegmentDoneRoutedToDistantGateway) {
   env.sim.run();
   EXPECT_TRUE(env.fabric->sw(6).lookup(42).has_value())
       << "SegmentDone must be routed hop-by-hop to node 7";
+}
+
+TEST(EzSegwaySwitchTest, CongestionDefersUntilCompetingRuleLeavesPort) {
+  // Node 1 sends flow 41 (size 6) out of the 1->2 link, capacity 10. Moving
+  // flow 42 (size 6) onto that link would overload it: the notify defers,
+  // and the move goes in only once 41's rule leaves the port.
+  sim::Simulator sim;
+  net::NamedTopology topo = net::fig1_topology();
+  const std::int32_t contended = topo.graph.port_of(1, 2);
+  const std::int32_t other = topo.graph.port_of(1, 0);
+  topo.graph.set_link_capacity(
+      topo.graph.neighbors(1).at(static_cast<std::size_t>(contended)).link,
+      10.0);
+  p4rt::Fabric fabric(sim, topo.graph, p4rt::SwitchParams{}, 1);
+  EzSwitchParams params;
+  params.congestion_mode = true;
+  std::vector<std::unique_ptr<EzSegwaySwitch>> pipes;
+  for (std::size_t n = 0; n < topo.graph.node_count(); ++n) {
+    pipes.push_back(std::make_unique<EzSegwaySwitch>(
+        static_cast<net::NodeId>(n), topo.graph, params));
+    fabric.sw(static_cast<net::NodeId>(n)).set_pipeline(pipes.back().get());
+  }
+  p4rt::SwitchDevice& sw = fabric.sw(1);
+  pipes[1]->bootstrap_flow(sw, 41, contended, 6.0);
+  pipes[1]->bootstrap_flow(sw, 42, other, 6.0);
+
+  p4rt::EzCmdHeader cmd = rule_cmd(42, 1, 0, contended, -1, true);
+  cmd.flow_size = 6.0;
+  fabric.inject(1, p4rt::Packet{cmd}, -1);
+  p4rt::EzNotifyHeader n;
+  n.flow = 42;
+  n.version = 2;
+  n.segment_id = 0;
+  fabric.inject(1, p4rt::Packet{n}, -1);
+
+  const sim::Time freed_at = sim::milliseconds(20);
+  std::optional<std::int32_t> port_before_free;
+  sim.schedule_at(freed_at, [&] {
+    port_before_free = sw.lookup(42);
+    sw.remove_rule(41);
+  });
+  sim.run();
+
+  EXPECT_EQ(port_before_free, std::optional<std::int32_t>(other))
+      << "the move must wait while the port is full";
+  EXPECT_GT(fabric.trace().count(sim::TraceKind::kCongestionDefer), 0u);
+  EXPECT_EQ(sw.lookup(42), std::optional<std::int32_t>(contended));
+  EXPECT_EQ(sw.installs_completed(), 1u);
+  const auto& installs = fabric.trace().entries();
+  const auto installed = std::find_if(
+      installs.begin(), installs.end(), [](const sim::TraceEntry& e) {
+        return e.kind == sim::TraceKind::kRuleInstalled && e.flow == 42;
+      });
+  ASSERT_NE(installed, installs.end());
+  EXPECT_GT(installed->at, freed_at);
 }
 
 TEST(EzSegwaySwitchTest, NotifyRetryGivesUpAfterTimeout) {

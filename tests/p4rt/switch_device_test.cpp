@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/topologies.hpp"
 #include "p4rt/fabric.hpp"
 
@@ -159,6 +162,92 @@ TEST(SwitchDeviceTest, RemoveRuleDeletesEntry) {
   EXPECT_TRUE(sw.lookup(4).has_value());
   sw.remove_rule(4);
   EXPECT_FALSE(sw.lookup(4).has_value());
+}
+
+using RuleView = std::vector<std::pair<net::FlowId, std::int32_t>>;
+
+RuleView rule_view(const SwitchDevice& sw) {
+  return RuleView(sw.rules().begin(), sw.rules().end());
+}
+
+TEST(SwitchDeviceTest, RemoveDuringPendingInstallKeepsIssueOrder) {
+  // The removal must not forget the pending install's tail: a quick write
+  // issued after it still retires behind the slow one.
+  sim::Simulator sim;
+  net::NamedTopology topo = net::fig2_topology();
+  SwitchParams params;
+  params.straggler_mean_ms = 200.0;
+  Fabric fabric(sim, topo.graph, params, /*seed=*/3);
+  auto& sw = fabric.sw(0);
+  std::vector<int> completion_order;
+  sw.install_rule(7, 0, [&] { completion_order.push_back(1); });
+  sw.remove_rule(7);
+  EXPECT_FALSE(sw.lookup(7).has_value());
+  sw.install_rule(7, 1, [&] { completion_order.push_back(2); },
+                  /*quick=*/true);
+  sim.run();
+  EXPECT_EQ(completion_order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sw.lookup(7), std::optional<std::int32_t>(1));
+}
+
+TEST(SwitchDeviceTest, CrashDropsPendingInstalls) {
+  Env env;
+  auto& sw = env.fabric.sw(0);
+  int completions = 0;
+  sw.install_rule(7, 0, [&] { ++completions; });
+  sw.install_rule(8, 1, [&] { ++completions; });
+  sw.crash();
+  sw.restart();
+  sw.set_rule_now(9, 2);
+  env.sim.run();
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(sw.installs_completed(), 0u);
+  EXPECT_EQ(rule_view(sw), (RuleView{{9, 2}}));
+  EXPECT_FALSE(sw.lookup(7).has_value());
+  EXPECT_FALSE(sw.lookup(8).has_value());
+}
+
+TEST(SwitchDeviceTest, RuleViewIsIdOrderedAndLive) {
+  Env env;
+  auto& sw = env.fabric.sw(0);
+  sw.set_rule_now(30, 3);
+  sw.set_rule_now(20, 2);
+  sw.set_rule_now(10, 1);
+  EXPECT_EQ(rule_view(sw), (RuleView{{10, 1}, {20, 2}, {30, 3}}));
+  sw.remove_rule(20);
+  EXPECT_EQ(rule_view(sw), (RuleView{{10, 1}, {30, 3}}));
+  sw.install_rule(25, 0);
+  EXPECT_EQ(rule_view(sw), (RuleView{{10, 1}, {30, 3}}))
+      << "a pending install is not a rule yet";
+  env.sim.run();
+  EXPECT_EQ(rule_view(sw), (RuleView{{10, 1}, {25, 0}, {30, 3}}));
+}
+
+TEST(SwitchDeviceTest, RecycledHandleStartsFresh) {
+  Env env;
+  auto& sw = env.fabric.sw(0);
+  const net::FlowId a = 7;
+  const net::FlowId b = 8;
+  sw.install_rule(a, 1);
+  env.sim.run();
+  ASSERT_EQ(sw.lookup(a), std::optional<std::int32_t>(1));
+  sim::Time issued = 0;
+  sim::Time done = 0;
+  // One tick past A's completion, so its install tail can no longer delay
+  // anything: the removal releases A's entry and B takes it over.
+  env.sim.schedule_in(1, [&] {
+    sw.remove_rule(a);
+    sw.set_rule_now(b, 2);
+    EXPECT_FALSE(sw.lookup(a).has_value());
+    EXPECT_EQ(sw.lookup(b), std::optional<std::int32_t>(2));
+    issued = env.sim.now();
+    sw.install_rule(b, 2, [&] { done = env.sim.now(); }, /*quick=*/true);
+  });
+  env.sim.run();
+  EXPECT_EQ(done, issued + SwitchParams{}.register_write_delay);
+  EXPECT_FALSE(sw.lookup(a).has_value());
+  EXPECT_EQ(sw.lookup(b), std::optional<std::int32_t>(2));
+  EXPECT_EQ(rule_view(sw), (RuleView{{b, 2}}));
 }
 
 TEST(SwitchDeviceTest, DataPacketsVisibleToPipelineHook) {
