@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 
 #include "net/fattree.hpp"
@@ -110,20 +111,37 @@ TEST(FirstHopPortsTest, MatchShortestPathFirstHops) {
   const std::vector<std::pair<const char*, Graph>> graphs = {
       {"fig1", fig1_topology().graph},
       {"fat-tree(4)", fattree_topology(4).graph},
+      {"fat-tree(8)", fattree_topology(8).graph},
       {"B4", b4_topology()},
+      {"Chinanet", chinanet_topology()},
   };
   for (const auto& [name, g] : graphs) {
-    for (std::size_t s = 0; s < g.node_count(); ++s) {
-      const auto src = static_cast<NodeId>(s);
-      const std::vector<std::int32_t> ports = first_hop_ports(g, src);
-      ASSERT_EQ(ports.size(), g.node_count()) << name;
-      EXPECT_EQ(ports[s], -1) << name << " src " << s;
-      for (std::size_t d = 0; d < g.node_count(); ++d) {
-        if (d == s) continue;
-        const auto path = shortest_path(g, src, static_cast<NodeId>(d));
-        ASSERT_TRUE(path.has_value()) << name;
-        EXPECT_EQ(ports[d], g.port_of(src, (*path)[1]))
-            << name << " " << s << " -> " << d;
+    for (const Metric metric : {Metric::kLatency, Metric::kHops}) {
+      for (std::size_t s = 0; s < g.node_count(); ++s) {
+        const auto src = static_cast<NodeId>(s);
+        const std::vector<std::int32_t> ports = first_hop_ports(g, src);
+        const SpTree tree = dijkstra(g, src, metric);
+        ASSERT_EQ(ports.size(), g.node_count()) << name;
+        EXPECT_EQ(ports[s], -1) << name << " src " << s;
+        for (std::size_t d = 0; d < g.node_count(); ++d) {
+          if (d == s) continue;
+          const auto path =
+              shortest_path(g, src, static_cast<NodeId>(d), metric);
+          ASSERT_TRUE(path.has_value()) << name;
+          // The single-destination search must return the path the full
+          // tree holds, whatever point it stops at.
+          Path chain;
+          for (auto n = static_cast<NodeId>(d); n != kNoNode;
+               n = tree.parent[static_cast<std::size_t>(n)]) {
+            chain.insert(chain.begin(), n);
+          }
+          EXPECT_EQ(*path, chain) << name << " " << s << " -> " << d;
+          // first_hop_ports reads the latency tree.
+          if (metric == Metric::kLatency) {
+            EXPECT_EQ(ports[d], g.port_of(src, (*path)[1]))
+                << name << " " << s << " -> " << d;
+          }
+        }
       }
     }
   }
@@ -135,6 +153,72 @@ TEST(FirstHopPortsTest, UnreachableDestinationsGetNoPort) {
   g.add_link(0, 1, sim::milliseconds(1));  // node 2 is isolated
   EXPECT_EQ(first_hop_ports(g, 0), (std::vector<std::int32_t>{-1, 0, -1}));
   EXPECT_EQ(first_hop_ports(g, 2), (std::vector<std::int32_t>{-1, -1, -1}));
+}
+
+/// True if `p` crosses the a-b link in either direction.
+bool crosses(const Path& p, NodeId a, NodeId b) {
+  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+    if ((p[i] == a && p[i + 1] == b) || (p[i] == b && p[i + 1] == a)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(AvoidingElementsTest, BannedLinkIsAvoidedInBothDirections) {
+  const Graph g = grid();
+  const LinkId l01 = *g.find_link(0, 1);
+  for (const auto& [s, d] : {std::pair<NodeId, NodeId>{0, 2}, {2, 0},
+                             {0, 1}, {1, 0}}) {
+    const auto p = shortest_path_avoiding_elements(g, s, d, {l01}, {},
+                                                   Metric::kHops);
+    ASSERT_TRUE(p.has_value()) << s << " -> " << d;
+    EXPECT_TRUE(valid_simple_path(g, *p));
+    EXPECT_EQ(p->front(), s);
+    EXPECT_EQ(p->back(), d);
+    EXPECT_FALSE(crosses(*p, 0, 1)) << s << " -> " << d;
+  }
+  // 0 -> 1 around the dead link is the three-hop detour.
+  EXPECT_EQ(*shortest_path_avoiding_elements(g, 0, 1, {l01}, {}),
+            (Path{0, 3, 4, 1}));
+}
+
+TEST(AvoidingElementsTest, BannedNodeIsAvoided) {
+  const Graph g = grid();
+  EXPECT_EQ(*shortest_path_avoiding_elements(g, 0, 2, {}, {1}),
+            (Path{0, 3, 4, 5, 2}));
+  EXPECT_EQ(*shortest_path_avoiding_elements(g, 2, 0, {}, {1}),
+            (Path{2, 5, 4, 3, 0}));
+}
+
+TEST(AvoidingElementsTest, BannedEndpointReturnsNullopt) {
+  const Graph g = grid();
+  EXPECT_FALSE(shortest_path_avoiding_elements(g, 0, 5, {}, {0}).has_value());
+  EXPECT_FALSE(shortest_path_avoiding_elements(g, 0, 5, {}, {5}).has_value());
+}
+
+TEST(AvoidingElementsTest, DisconnectingFaultSetReturnsNullopt) {
+  const Graph g = grid();
+  // Both links of node 0 down.
+  EXPECT_FALSE(shortest_path_avoiding_elements(
+                   g, 0, 5, {*g.find_link(0, 1), *g.find_link(0, 3)}, {})
+                   .has_value());
+  // The middle column crashed: {0, 3} cannot reach {2, 5}.
+  EXPECT_FALSE(
+      shortest_path_avoiding_elements(g, 3, 2, {}, {1, 4}).has_value());
+  // A dead link plus a crashed switch that together cut the grid.
+  EXPECT_FALSE(shortest_path_avoiding_elements(g, 0, 2, {*g.find_link(1, 2)},
+                                               {4})
+                   .has_value());
+}
+
+TEST(AvoidingElementsTest, OutOfRangeLinkThrows) {
+  const Graph g = grid();
+  const auto past_end = static_cast<LinkId>(g.link_count());
+  EXPECT_THROW(shortest_path_avoiding_elements(g, 0, 5, {past_end}, {}),
+               std::out_of_range);
+  EXPECT_THROW(shortest_path_avoiding_elements(g, 0, 5, {kNoLink}, {}),
+               std::out_of_range);
 }
 
 TEST(CentroidTest, PicksMinimaxNode) {
