@@ -9,11 +9,13 @@
 // exponential backoff, repair re-routing around dead elements) must drive
 // every update to a terminal outcome: Completed, RolledBack, or Abandoned.
 //
-// The verdict is one-sided by design. P4Update runs are gated hard — zero
-// loop/blackhole violations and zero non-terminal updates. The baselines
-// run the same table for comparison, and their violations are *recorded as
-// data*: ez-Segway executes whatever command arrives without verification,
-// which is exactly the failure mode (Fig. 2) the paper holds against it.
+// Liveness is gated for every system: a run counts as non-terminal when a
+// flow's latest update or any request in the ledger is still pending, and
+// any non-terminal run fails the campaign. Safety is one-sided by design:
+// P4Update runs are gated hard on zero loop/blackhole violations, while the
+// baselines' violations are *recorded as data* — ez-Segway executes
+// whatever command arrives without verification, which is exactly the
+// failure mode (Fig. 2) the paper holds against it.
 //
 // Emits BENCH_chaos.json (per-spec violations/outcomes) plus the usual
 // --out run report. Deterministic for any --jobs value.
@@ -184,7 +186,7 @@ int main(int argc, char** argv) {
   cli_spec.program = "chaos";
   cli_spec.description =
       "Chaos campaign: link-down + switch-crash mid-update; every update "
-      "must settle, P4Update must stay loop/blackhole-free.";
+      "and request must settle, P4Update must stay loop/blackhole-free.";
   cli_spec.with_faults = true;
   const harness::BenchCli cli =
       harness::parse_bench_cli_or_exit(argc, argv, cli_spec);
@@ -200,6 +202,7 @@ int main(int argc, char** argv) {
   const std::vector<SpecResult> results = campaign.run(cli.jobs);
 
   bool p4u_clean = true;
+  bool all_terminal = true;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::printf("\n================ %s ================\n", rows[i].title);
     for (std::size_t s = 0; s < 3; ++s) {
@@ -222,9 +225,10 @@ int main(int argc, char** argv) {
               r.metrics.counter_total("ctrl.recovery_resends")),
           static_cast<unsigned long long>(
               r.metrics.counter_total("ctrl.recovery_repairs")));
+      all_terminal = all_terminal && r.incomplete_runs == 0;
       if (kSystems[s] == SystemKind::kP4Update) {
         p4u_clean = p4u_clean && r.violations.loops == 0 &&
-                    r.violations.blackholes == 0 && r.incomplete_runs == 0;
+                    r.violations.blackholes == 0;
       }
     }
   }
@@ -240,10 +244,12 @@ int main(int argc, char** argv) {
   write_bench_json(cli.out_dir, results, cli.smoke);
 
   std::printf("\n---- verdict ----\n");
-  std::printf("P4Update: zero loops/blackholes and every update terminal "
-              "across all rows: %s\n",
+  std::printf("P4Update: zero loops/blackholes across all rows: %s\n",
               p4u_clean ? "YES" : "NO");
-  // The gate holds in smoke mode too: consistency is not a statistics
-  // question, three seeds must be as clean as twenty-four.
-  return p4u_clean ? 0 : 1;
+  std::printf("Every system: every update and request terminal across all "
+              "rows: %s\n",
+              all_terminal ? "YES" : "NO");
+  // The gates hold in smoke mode too: consistency and liveness are not
+  // statistics questions, three seeds must be as clean as twenty-four.
+  return p4u_clean && all_terminal ? 0 : 1;
 }

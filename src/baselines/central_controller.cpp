@@ -8,13 +8,6 @@ namespace p4u::baseline {
 
 namespace {
 
-net::NodeId succ_on(const net::Path& p, net::NodeId n) {
-  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-    if (p[i] == n) return p[i + 1];
-  }
-  return net::kNoNode;
-}
-
 std::int64_t dlink_key(net::NodeId a, net::NodeId b) {
   return (static_cast<std::int64_t>(a) << 32) | static_cast<std::uint32_t>(b);
 }
@@ -23,9 +16,8 @@ std::int64_t dlink_key(net::NodeId a, net::NodeId b) {
 
 CentralController::CentralController(p4rt::ControlChannel& channel,
                                      control::Nib nib, CentralParams params)
-    : channel_(channel), nib_(std::move(nib)), params_(params) {
-  channel_.set_app(this);
-}
+    : RecoveringController(channel, std::move(nib), params.recovery),
+      params_(params) {}
 
 void CentralController::register_flow(const net::Flow& f,
                                       const net::Path& initial_path) {
@@ -39,35 +31,27 @@ void CentralController::register_flow(const net::Flow& f,
 
 p4rt::Version CentralController::schedule_update(net::FlowId flow,
                                                  const net::Path& new_path) {
-  const p4rt::Version version = nib_.next_version(flow);
-  control::FlowView& view = nib_.view(flow);
-  Job job;
+  if (const auto live = jobs_.find(flow); live != jobs_.end()) {
+    cancel_inflight(flow, live->second.version, /*superseded=*/true);
+  }
+  const p4rt::Version version = begin_update(flow, new_path);
+  Job& job = jobs_[flow];
   job.version = version;
-  job.old_path = view.believed_path;
+  job.old_path = nib_.view(flow).believed_path;
   job.new_path = new_path;
-  view.update_in_progress = true;
   // Nodes whose rule actually changes.
   for (std::size_t i = 0; i + 1 < new_path.size(); ++i) {
     const net::NodeId n = new_path[i];
-    if (succ_on(job.old_path, n) != new_path[i + 1]) job.pending.insert(n);
-  }
-  flow_db_.on_issued(flow, version, channel_.now());
-  issued_paths_[{flow, version}] = new_path;
-  jobs_[flow] = std::move(job);
-  Job& stored = jobs_[flow];
-  if (stored.pending.empty()) {
-    flow_db_.on_completed(flow, version, channel_.now());
-    nib_.believe_path(flow, new_path);
-    view.update_in_progress = false;
-    jobs_.erase(flow);
-    if (on_complete) on_complete(flow, version, channel_.now());
-    if (on_settled) {
-      on_settled(flow, version, control::UpdateOutcome::kCompleted,
-                 channel_.now());
+    if (net::next_hop(job.old_path, n) != new_path[i + 1]) {
+      job.pending.insert(n);
     }
+  }
+  if (job.pending.empty()) {
+    jobs_.erase(flow);
+    complete(flow, version);
     return version;
   }
-  if (params_.recovery.enabled) track_update(flow, version);
+  track_update(flow, version);
   start_round();
   return version;
 }
@@ -84,7 +68,7 @@ void CentralController::collect_safe(
       continue;
     }
     if (params_.congestion_mode) {
-      const net::NodeId to = succ_on(job.new_path, n);
+      const net::NodeId to = net::next_hop(job.new_path, n);
       const auto link = nib_.graph().find_link(n, to);
       const double cap = link ? nib_.graph().link(*link).capacity : 0.0;
       const double used = link_used_[dlink_key(n, to)];
@@ -123,7 +107,7 @@ void CentralController::send_install(net::FlowId flow, const Job& job,
   cmd.flow = flow;
   cmd.version = job.version;
   cmd.round = static_cast<std::int32_t>(rounds_);
-  cmd.egress_port = nib_.graph().port_of(n, succ_on(job.new_path, n));
+  cmd.egress_port = nib_.graph().port_of(n, net::next_hop(job.new_path, n));
   cmd.flow_size = nib_.view(flow).flow.size;
   channel_.send_to_switch(n, p4rt::Packet{cmd});
 }
@@ -140,7 +124,7 @@ void CentralController::handle_from_switch(net::NodeId from,
   job.updated.push_back(from);
   if (params_.congestion_mode) {
     // The flow left its old outgoing link at `from`: release capacity.
-    const net::NodeId old_to = succ_on(job.old_path, from);
+    const net::NodeId old_to = net::next_hop(job.old_path, from);
     if (old_to != net::kNoNode &&
         job.released.insert(dlink_key(from, old_to)).second) {
       link_used_[dlink_key(from, old_to)] -= nib_.view(ack.flow).flow.size;
@@ -152,13 +136,6 @@ void CentralController::handle_from_switch(net::NodeId from,
     const net::Path old_path = job.old_path;
     std::set<std::int64_t> released = std::move(job.released);
     jobs_.erase(it);
-    flow_db_.on_completed(ack.flow, version, channel_.now());
-    nib_.believe_path(ack.flow, new_path);
-    nib_.view(ack.flow).update_in_progress = false;
-    auto rit = retry_.find(ack.flow);
-    if (rit != retry_.end() && rit->second.version == version) {
-      retry_.erase(rit);
-    }
     if (params_.congestion_mode) {
       // Release stale old-path links the ack path never freed (nodes whose
       // rules did not change but no longer carry this flow).
@@ -188,44 +165,17 @@ void CentralController::handle_from_switch(net::NodeId from,
       cmd.remove = true;
       channel_.send_to_switch(n, p4rt::Packet{cmd});
     }
-    if (on_complete) on_complete(ack.flow, version, channel_.now());
-    if (on_settled) {
-      on_settled(ack.flow, version, control::UpdateOutcome::kCompleted,
-                 channel_.now());
-    }
+    // After the cleanup sends: a settle handler may issue the next update.
+    complete(ack.flow, version);
   }
   start_round();
 }
 
-void CentralController::track_update(net::FlowId flow, p4rt::Version version) {
-  retry_[flow] = RetryState{version, 0, ++retry_gen_};
-  arm_retry_timer(flow);
-}
-
-void CentralController::arm_retry_timer(net::FlowId flow) {
-  const RetryState& rs = retry_.at(flow);
-  channel_.simulator().schedule_in(
-      params_.recovery.timeout_for(rs.attempts),
-      [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
-}
-
-void CentralController::on_retry_timer(net::FlowId flow, std::uint64_t gen) {
-  auto it = retry_.find(flow);
-  if (it == retry_.end() || it->second.gen != gen) return;  // superseded
-  RetryState& rs = it->second;
-  const auto jit = jobs_.find(flow);
-  if (jit == jobs_.end() || jit->second.version != rs.version) {
-    retry_.erase(it);  // the job already finished or was replaced
-    return;
-  }
-  if (rs.attempts >= params_.recovery.max_retries) {
-    settle_update(flow, rs.version);
-    return;
-  }
-  ++rs.attempts;
-  rs.gen = ++retry_gen_;
-  channel_.metrics().counter("ctrl.recovery_resends", {}).inc();
-  Job& job = jit->second;
+void CentralController::resend(net::FlowId flow, p4rt::Version version) {
+  // A dropped job is untracked with it (cancel_inflight), so the tracked
+  // version's job is live.
+  const Job& job = jobs_.at(flow);
+  (void)version;
   if (job.outstanding.empty()) {
     // No command in flight but the job has not finished: the barrier is
     // stuck (lost round, capacity deadlock) — try to issue the next round.
@@ -235,171 +185,46 @@ void CentralController::on_retry_timer(net::FlowId flow, std::uint64_t gen) {
     // and the controller ignores duplicate acks.
     for (const net::NodeId n : job.outstanding) send_install(flow, job, n);
   }
-  arm_retry_timer(flow);
 }
 
-void CentralController::cancel_job(net::FlowId flow, Job& job) {
+void CentralController::cancel_inflight(net::FlowId flow,
+                                        p4rt::Version version,
+                                        bool superseded) {
+  (void)superseded;
+  const auto jit = jobs_.find(flow);
+  if (jit == jobs_.end() || jit->second.version != version) return;
+  const Job& job = jit->second;
   global_outstanding_ -= job.outstanding.size();
   if (params_.congestion_mode) {
     // Release the reservations of commands that were never acknowledged.
     // (A command whose ack was lost did land; the believed ledger drifts —
     // the same staleness every centralized scheduler lives with.)
     for (const net::NodeId n : job.outstanding) {
-      const net::NodeId to = succ_on(job.new_path, n);
+      const net::NodeId to = net::next_hop(job.new_path, n);
       if (to != net::kNoNode) {
         link_used_[dlink_key(n, to)] -= nib_.view(flow).flow.size;
       }
     }
   }
+  jobs_.erase(jit);
+  untrack(flow);
 }
 
-void CentralController::settle_update(net::FlowId flow,
-                                      p4rt::Version version) {
-  const auto jit = jobs_.find(flow);
-  if (jit != jobs_.end() && jit->second.version == version) {
-    cancel_job(flow, jit->second);
-    jobs_.erase(jit);
-  }
-  const bool old_ok =
-      health_.path_ok(nib_.graph(), nib_.view(flow).believed_path);
-  const control::UpdateOutcome outcome =
-      old_ok ? control::UpdateOutcome::kRolledBack
-             : control::UpdateOutcome::kAbandoned;
-  flow_db_.on_gave_up(flow, version, outcome, channel_.now());
-  channel_.metrics()
-      .counter("ctrl.recovery_gaveup",
-               {{"outcome", control::to_string(outcome)}})
-      .inc();
-  nib_.view(flow).update_in_progress = false;
-  retry_.erase(flow);
-  if (on_settled) on_settled(flow, version, outcome, channel_.now());
-  start_round();  // the cancel may have unblocked the global barrier
+void CentralController::pump_next(std::span<const net::FlowId> settled) {
+  (void)settled;
+  start_round();
 }
 
-void CentralController::handle_link_state(net::LinkId link, net::NodeId a,
-                                          net::NodeId b, bool up) {
-  (void)a;
-  (void)b;
-  if (up) {
-    health_.link_up(link);
-  } else {
-    health_.link_down(link);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    const net::Graph& g = nib_.graph();
-    repair_around([&g, link](const net::Path& p) {
-      return faults::HealthView::path_uses_link(g, p, link);
-    });
-  } else {
-    reissue_after_recovery(std::nullopt);
-  }
-}
-
-void CentralController::handle_switch_state(net::NodeId node, bool up) {
-  if (up) {
-    health_.switch_up(node);
-  } else {
-    health_.switch_down(node);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    repair_around([node](const net::Path& p) {
-      return faults::HealthView::path_uses_node(p, node);
-    });
-  } else {
-    reissue_after_recovery(node);
-  }
-}
-
-void CentralController::repair_around(
-    const std::function<bool(const net::Path&)>& hits) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    const auto jit = jobs_.find(flow);
-    if (jit != jobs_.end()) {
-      if (!hits(jit->second.new_path)) continue;
-      const p4rt::Version doomed = jit->second.version;
-      const auto repair =
-          health_.repair_path(g, view.flow.ingress, view.flow.egress);
-      cancel_job(flow, jit->second);
-      jobs_.erase(jit);
-      if (repair) {
-        channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-        schedule_update(flow, *repair);  // supersedes the doomed version
-      } else {
-        flow_db_.on_gave_up(flow, doomed, control::UpdateOutcome::kAbandoned,
-                            channel_.now());
-        channel_.metrics()
-            .counter("ctrl.recovery_gaveup", {{"outcome", "abandoned"}})
-            .inc();
-        nib_.view(flow).update_in_progress = false;
-        retry_.erase(flow);
-        if (on_settled) {
-          on_settled(flow, doomed, control::UpdateOutcome::kAbandoned,
-                     channel_.now());
-        }
-      }
-      continue;
-    }
-    if (!hits(view.believed_path)) continue;
-    const auto repair =
-        health_.repair_path(g, view.flow.ingress, view.flow.egress);
-    if (repair) {
-      channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-      schedule_update(flow, *repair);
-    } else {
-      channel_.metrics().counter("ctrl.recovery_stranded", {}).inc();
-    }
-  }
-  start_round();  // cancels may have unblocked the global barrier
-}
-
-void CentralController::reissue_after_recovery(
-    std::optional<net::NodeId> restarted) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    if (view.update_in_progress) continue;
-    const auto& hist = flow_db_.history(flow);
-    const bool settled_short =
-        !hist.empty() &&
-        (hist.back().outcome == control::UpdateOutcome::kRolledBack ||
-         hist.back().outcome == control::UpdateOutcome::kAbandoned);
-    if (settled_short) {
-      const auto pit = issued_paths_.find({flow, hist.back().version});
-      if (pit != issued_paths_.end() && health_.path_ok(g, pit->second)) {
-        channel_.metrics().counter("ctrl.recovery_reissues", {}).inc();
-        schedule_update(flow, pit->second);
-        continue;
-      }
-      if (!health_.path_ok(g, view.believed_path)) {
-        const auto repair =
-            health_.repair_path(g, view.flow.ingress, view.flow.egress);
-        if (repair) {
-          channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-          schedule_update(flow, *repair);
-          continue;
-        }
-      }
-    }
-    if (restarted &&
-        faults::HealthView::path_uses_node(view.believed_path, *restarted)) {
-      // The restarted switch lost its rules; Central can re-push the one
-      // believed rule directly (its switches install whatever is commanded).
-      channel_.metrics().counter("ctrl.recovery_redeploys", {}).inc();
-      const net::NodeId succ = succ_on(view.believed_path, *restarted);
-      p4rt::InstallCmdHeader cmd;
-      cmd.flow = flow;
-      cmd.version = view.version;
-      cmd.egress_port = succ == net::kNoNode
-                            ? p4rt::SwitchDevice::kLocalPort
-                            : g.port_of(*restarted, succ);
-      cmd.flow_size = view.flow.size;
-      channel_.send_to_switch(*restarted, p4rt::Packet{cmd});
-    }
-  }
+void CentralController::redeploy(net::FlowId flow, net::NodeId node) {
+  const control::FlowView& view = nib_.view(flow);
+  const net::NodeId succ = net::next_hop(view.believed_path, node);
+  p4rt::InstallCmdHeader cmd;
+  cmd.flow = flow;
+  cmd.version = view.version;
+  cmd.egress_port = succ == net::kNoNode ? p4rt::SwitchDevice::kLocalPort
+                                         : nib_.graph().port_of(node, succ);
+  cmd.flow_size = view.flow.size;
+  channel_.send_to_switch(node, p4rt::Packet{cmd});
 }
 
 }  // namespace p4u::baseline

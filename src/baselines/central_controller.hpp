@@ -7,9 +7,9 @@
 // controller's serialized service time — the cost P4Update eliminates.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "baselines/dependency_graph.hpp"
@@ -30,37 +30,25 @@ struct CentralParams {
 /// Virtual cost of one centralized dependency-graph recomputation round.
 constexpr sim::Duration kDependencyRecompute = sim::milliseconds(10);
 
-class CentralController final : public p4rt::ControllerApp {
+class CentralController final : public faults::RecoveringController {
  public:
   CentralController(p4rt::ControlChannel& channel, control::Nib nib,
                     CentralParams params = {});
 
-  void register_flow(const net::Flow& f, const net::Path& initial_path);
+  void register_flow(const net::Flow& f,
+                     const net::Path& initial_path) override;
 
-  p4rt::Version schedule_update(net::FlowId flow, const net::Path& new_path);
+  /// Starts a job for the update; a job still live for the flow is dropped
+  /// first (its unacknowledged commands leave the round barrier).
+  p4rt::Version schedule_update(net::FlowId flow,
+                                const net::Path& new_path) override;
 
   void handle_from_switch(net::NodeId from, const p4rt::Packet& pkt) override;
-
-  // Failure detection (ControlChannel).
-  void handle_link_state(net::LinkId link, net::NodeId a, net::NodeId b,
-                         bool up) override;
-  void handle_switch_state(net::NodeId node, bool up) override;
-
-  [[nodiscard]] control::Nib& nib() noexcept { return nib_; }
-  [[nodiscard]] control::FlowDb& flow_db() noexcept { return flow_db_; }
 
   /// Number of scheduling rounds issued so far (tests/benches).
   [[nodiscard]] std::uint64_t rounds_issued() const noexcept {
     return rounds_;
   }
-
-  std::function<void(net::FlowId, p4rt::Version, sim::Time)> on_complete;
-  /// Invoked whenever an issued update reaches a terminal outcome
-  /// (kCompleted / kRolledBack / kAbandoned), after all controller state
-  /// was updated — a handler may synchronously schedule the next update.
-  std::function<void(net::FlowId, p4rt::Version, control::UpdateOutcome,
-                     sim::Time)>
-      on_settled;
 
  private:
   struct Job {
@@ -87,34 +75,25 @@ class CentralController final : public p4rt::ControllerApp {
   /// Sends the install command for node `n` of `job` (initial or resend).
   void send_install(net::FlowId flow, const Job& job, net::NodeId n);
 
-  // --- recovery state machine (params_.recovery) ---
-  struct RetryState {
-    p4rt::Version version = 0;
-    int attempts = 0;
-    std::uint64_t gen = 0;
-  };
-  void track_update(net::FlowId flow, p4rt::Version version);
-  void arm_retry_timer(net::FlowId flow);
-  void on_retry_timer(net::FlowId flow, std::uint64_t gen);
-  void settle_update(net::FlowId flow, p4rt::Version version);
-  /// Drops a job and rebalances the global round barrier (its unacked
+  // --- recovery hooks (faults::RecoveringController) ---
+  /// Re-sends every unacked install; with none outstanding the barrier is
+  /// stuck, so it tries the next round instead.
+  void resend(net::FlowId flow, p4rt::Version version) override;
+  /// Drops the job and rebalances the global round barrier (its unacked
   /// commands will never be counted) without recording an outcome.
-  void cancel_job(net::FlowId flow, Job& job);
-  void repair_around(const std::function<bool(const net::Path&)>& hits);
-  void reissue_after_recovery(std::optional<net::NodeId> restarted);
+  void cancel_inflight(net::FlowId flow, p4rt::Version version,
+                       bool superseded) override;
+  /// A dropped job may have unblocked the barrier: try the next round.
+  void pump_next(std::span<const net::FlowId> settled) override;
+  /// Re-pushes the one believed rule directly (Central's switches install
+  /// whatever is commanded).
+  void redeploy(net::FlowId flow, net::NodeId node) override;
 
-  p4rt::ControlChannel& channel_;
-  control::Nib nib_;
-  control::FlowDb flow_db_;
   CentralParams params_;
   std::map<net::FlowId, Job> jobs_;
   std::map<std::int64_t, double> link_used_;  // directed-link capacity ledger
-  std::map<std::pair<net::FlowId, p4rt::Version>, net::Path> issued_paths_;
   std::uint64_t rounds_ = 0;
   std::size_t global_outstanding_ = 0;  // acks pending for the current round
-  faults::HealthView health_;
-  std::map<net::FlowId, RetryState> retry_;
-  std::uint64_t retry_gen_ = 0;
 };
 
 }  // namespace p4u::baseline

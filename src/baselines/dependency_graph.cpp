@@ -177,23 +177,17 @@ bool central_safe_to_update(const net::Path& old_path,
                             const net::Path& new_path, net::NodeId node,
                             const std::vector<net::NodeId>& updated,
                             const std::vector<net::NodeId>& candidates) {
-  auto succ_on = [](const net::Path& p, net::NodeId n) -> net::NodeId {
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      if (p[i] == n) return p[i + 1];
-    }
-    return net::kNoNode;
-  };
   const std::set<net::NodeId> done(updated.begin(), updated.end());
   const std::set<net::NodeId> maybe(candidates.begin(), candidates.end());
   const net::NodeId egress = new_path.back();
 
-  const net::NodeId target = succ_on(new_path, node);
+  const net::NodeId target = net::next_hop(new_path, node);
   if (target == net::kNoNode) return false;  // not on the path / is egress
   // Blackhole check: the new next hop must already hold forwarding state —
   // its old rule (on the old path / egress) or an acknowledged new rule.
   const bool target_has_rule =
       target == egress || done.count(target) != 0 ||
-      succ_on(old_path, target) != net::kNoNode;
+      net::next_hop(old_path, target) != net::kNoNode;
   if (!target_has_rule) return false;
 
   // Loop check over the uncertainty multigraph: updated nodes follow their
@@ -206,8 +200,8 @@ bool central_safe_to_update(const net::Path& old_path,
     stack.pop_back();
     if (cur == node) return false;  // can walk back: potential loop
     if (cur == egress || !visited.insert(cur).second) continue;
-    const net::NodeId old_succ = succ_on(old_path, cur);
-    const net::NodeId new_succ = succ_on(new_path, cur);
+    const net::NodeId old_succ = net::next_hop(old_path, cur);
+    const net::NodeId new_succ = net::next_hop(new_path, cur);
     const bool is_done = done.count(cur) != 0;
     const bool is_maybe = maybe.count(cur) != 0 || cur == node;
     if (is_done) {

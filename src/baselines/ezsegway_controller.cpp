@@ -6,28 +6,11 @@
 
 namespace p4u::baseline {
 
-namespace {
-
-net::NodeId succ_on(const net::Path& p, net::NodeId n) {
-  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-    if (p[i] == n) return p[i + 1];
-  }
-  return net::kNoNode;
-}
-
-}  // namespace
-
 EzSegwayController::EzSegwayController(p4rt::ControlChannel& channel,
                                        control::Nib nib,
                                        EzControllerParams params)
-    : channel_(channel), nib_(std::move(nib)), params_(params) {
-  channel_.set_app(this);
-}
-
-void EzSegwayController::register_flow(const net::Flow& f,
-                                       const net::Path& initial_path) {
-  nib_.record_flow(f, initial_path);
-}
+    : RecoveringController(channel, std::move(nib), params.recovery),
+      params_(params) {}
 
 EzSegwayController::Prepared EzSegwayController::prepare(
     net::FlowId flow, const net::Path& new_path, p4rt::Version version) const {
@@ -48,7 +31,7 @@ EzSegwayController::Prepared EzSegwayController::prepare(
       nontrivial[i] = true;
     } else {
       nontrivial[i] =
-          succ_on(old_path, s.ingress_gateway) != s.egress_gateway;
+          net::next_hop(old_path, s.ingress_gateway) != s.egress_gateway;
     }
   }
 
@@ -134,21 +117,11 @@ std::map<net::FlowId, EzPriority> EzSegwayController::prepare_priorities(
 p4rt::Version EzSegwayController::issue(net::FlowId flow,
                                         const net::Path& new_path,
                                         std::uint8_t priority) {
-  const p4rt::Version version = nib_.next_version(flow);
+  const p4rt::Version version = begin_update(flow, new_path);
   Prepared prepared = prepare(flow, new_path, version);
-  nib_.view(flow).update_in_progress = true;
-  issued_paths_[{flow, version}] = new_path;
-  flow_db_.on_issued(flow, version, channel_.now());
   if (prepared.nontrivial_segments == 0) {
     // Nothing to change: complete instantly.
-    flow_db_.on_completed(flow, version, channel_.now());
-    nib_.believe_path(flow, new_path);
-    nib_.view(flow).update_in_progress = false;
-    if (on_complete) on_complete(flow, version, channel_.now());
-    if (on_settled) {
-      on_settled(flow, version, control::UpdateOutcome::kCompleted,
-                 channel_.now());
-    }
+    complete(flow, version);
     return version;
   }
   remaining_[{flow, version}] = prepared.nontrivial_segments;
@@ -156,7 +129,7 @@ p4rt::Version EzSegwayController::issue(net::FlowId flow,
     cmd.priority = priority;
     channel_.send_to_switch(cmd.target, p4rt::Packet{cmd});
   }
-  if (params_.recovery.enabled) track_update(flow, version);
+  track_update(flow, version);
   return version;
 }
 
@@ -218,19 +191,7 @@ void EzSegwayController::handle_from_switch(net::NodeId from,
   if (--it->second > 0) return;
   remaining_.erase(it);
   ufm_seen_.erase(key);
-
-  flow_db_.on_completed(ufm.flow, ufm.version, channel_.now());
-  nib_.believe_path(ufm.flow, issued_paths_.at(key));
-  nib_.view(ufm.flow).update_in_progress = false;
-  auto rit = retry_.find(ufm.flow);
-  if (rit != retry_.end() && rit->second.version == ufm.version) {
-    retry_.erase(rit);
-  }
-  if (on_complete) on_complete(ufm.flow, ufm.version, channel_.now());
-  if (on_settled) {
-    on_settled(ufm.flow, ufm.version, control::UpdateOutcome::kCompleted,
-               channel_.now());
-  }
+  complete(ufm.flow, ufm.version);
   issue_next_queued(ufm.flow);
 }
 
@@ -248,40 +209,12 @@ void EzSegwayController::issue_next_queued(net::FlowId flow) {
   issue(flow, next, prio_it == priority_.end() ? 0 : prio_it->second);
 }
 
-void EzSegwayController::track_update(net::FlowId flow,
-                                      p4rt::Version version) {
-  retry_[flow] = RetryState{version, 0, ++retry_gen_};
-  arm_retry_timer(flow);
-}
-
-void EzSegwayController::arm_retry_timer(net::FlowId flow) {
-  const RetryState& rs = retry_.at(flow);
-  channel_.simulator().schedule_in(
-      params_.recovery.timeout_for(rs.attempts),
-      [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
-}
-
-void EzSegwayController::on_retry_timer(net::FlowId flow, std::uint64_t gen) {
-  auto it = retry_.find(flow);
-  if (it == retry_.end() || it->second.gen != gen) return;  // superseded
-  RetryState& rs = it->second;
-  if (rs.attempts >= params_.recovery.max_retries) {
-    settle_update(flow, rs.version);
-    return;
-  }
-  ++rs.attempts;
-  rs.gen = ++retry_gen_;
-  channel_.metrics().counter("ctrl.recovery_resends", {}).inc();
-  resend_cmds(flow, rs.version);
-  arm_retry_timer(flow);
-}
-
-void EzSegwayController::resend_cmds(net::FlowId flow, p4rt::Version version) {
-  const auto pit = issued_paths_.find({flow, version});
-  if (pit == issued_paths_.end()) return;
+void EzSegwayController::resend(net::FlowId flow, p4rt::Version version) {
+  const net::Path* path = issued_path(flow, version);
+  if (path == nullptr) return;
   // The believed path is untouched while the update is in flight, so the
   // preparation reproduces the original commands exactly.
-  Prepared prepared = prepare(flow, pit->second, version);
+  Prepared prepared = prepare(flow, *path, version);
   const auto prio_it = priority_.find(flow);
   for (p4rt::EzCmdHeader cmd : prepared.cmds) {
     cmd.priority = prio_it == priority_.end() ? 0 : prio_it->second;
@@ -290,180 +223,48 @@ void EzSegwayController::resend_cmds(net::FlowId flow, p4rt::Version version) {
   }
 }
 
-void EzSegwayController::settle_update(net::FlowId flow,
-                                       p4rt::Version version) {
-  const Key key{flow, version};
-  remaining_.erase(key);
-  ufm_seen_.erase(key);
-  const bool old_ok =
-      health_.path_ok(nib_.graph(), nib_.view(flow).believed_path);
-  const control::UpdateOutcome outcome =
-      old_ok ? control::UpdateOutcome::kRolledBack
-             : control::UpdateOutcome::kAbandoned;
-  flow_db_.on_gave_up(flow, version, outcome, channel_.now());
-  channel_.metrics()
-      .counter("ctrl.recovery_gaveup",
-               {{"outcome", control::to_string(outcome)}})
-      .inc();
-  nib_.view(flow).update_in_progress = false;
-  retry_.erase(flow);
-  if (on_settled) on_settled(flow, version, outcome, channel_.now());
-  issue_next_queued(flow);
-}
-
 void EzSegwayController::cancel_inflight(net::FlowId flow,
-                                         p4rt::Version version) {
+                                         p4rt::Version version,
+                                         bool superseded) {
   const Key key{flow, version};
   remaining_.erase(key);
   ufm_seen_.erase(key);
-  nib_.view(flow).update_in_progress = false;
-  retry_.erase(flow);
+  if (!superseded) return;
   // Queued follow-ups were planned against a topology that no longer
-  // exists; the repair update supersedes the whole intent.
+  // exists; the repair update supersedes the whole intent. ez-Segway issues
+  // only onto an idle flow (§4.2), so the flow is released for the repair.
   queued_.erase(flow);
+  untrack(flow);
 }
 
-void EzSegwayController::handle_link_state(net::LinkId link, net::NodeId a,
-                                           net::NodeId b, bool up) {
-  (void)a;
-  (void)b;
-  if (up) {
-    health_.link_up(link);
-  } else {
-    health_.link_down(link);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    const net::Graph& g = nib_.graph();
-    repair_around([&g, link](const net::Path& p) {
-      return faults::HealthView::path_uses_link(g, p, link);
-    });
-  } else {
-    reissue_after_recovery(std::nullopt);
-  }
+void EzSegwayController::pump_next(std::span<const net::FlowId> settled) {
+  for (const net::FlowId flow : settled) issue_next_queued(flow);
 }
 
-void EzSegwayController::handle_switch_state(net::NodeId node, bool up) {
-  if (up) {
-    health_.switch_up(node);
-  } else {
-    health_.switch_down(node);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    repair_around([node](const net::Path& p) {
-      return faults::HealthView::path_uses_node(p, node);
-    });
-  } else {
-    reissue_after_recovery(node);
-  }
-}
-
-void EzSegwayController::repair_around(
-    const std::function<bool(const net::Path&)>& hits) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    bool had_inflight = false;
-    if (view.update_in_progress) {
-      const auto rit = retry_.find(flow);
-      const p4rt::Version v =
-          rit != retry_.end() ? rit->second.version : view.version;
-      const auto pit = issued_paths_.find({flow, v});
-      if (pit == issued_paths_.end() || !hits(pit->second)) continue;
-      const auto repair =
-          health_.repair_path(g, view.flow.ingress, view.flow.egress);
-      if (repair) {
-        // ez-Segway queues while an update is in flight (§4.2), so the
-        // doomed update must be cancelled before the repair can issue.
-        cancel_inflight(flow, v);
-        channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-        schedule_update(flow, *repair);
-      } else {
-        remaining_.erase({flow, v});
-        ufm_seen_.erase({flow, v});
-        flow_db_.on_gave_up(flow, v, control::UpdateOutcome::kAbandoned,
-                            channel_.now());
-        channel_.metrics()
-            .counter("ctrl.recovery_gaveup", {{"outcome", "abandoned"}})
-            .inc();
-        nib_.view(flow).update_in_progress = false;
-        retry_.erase(flow);
-        if (on_settled) {
-          on_settled(flow, v, control::UpdateOutcome::kAbandoned,
-                     channel_.now());
-        }
-      }
-      had_inflight = true;
-    }
-    if (had_inflight) continue;
-    if (!hits(view.believed_path)) continue;
-    const auto repair =
-        health_.repair_path(g, view.flow.ingress, view.flow.egress);
-    if (repair) {
-      channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-      schedule_update(flow, *repair);
-    } else {
-      channel_.metrics().counter("ctrl.recovery_stranded", {}).inc();
-    }
-  }
-}
-
-void EzSegwayController::reissue_after_recovery(
-    std::optional<net::NodeId> restarted) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    if (view.update_in_progress) continue;
-    const auto& hist = flow_db_.history(flow);
-    const bool settled_short =
-        !hist.empty() &&
-        (hist.back().outcome == control::UpdateOutcome::kRolledBack ||
-         hist.back().outcome == control::UpdateOutcome::kAbandoned);
-    if (settled_short) {
-      const auto pit = issued_paths_.find({flow, hist.back().version});
-      if (pit != issued_paths_.end() && health_.path_ok(g, pit->second)) {
-        channel_.metrics().counter("ctrl.recovery_reissues", {}).inc();
-        schedule_update(flow, pit->second);
-        continue;
-      }
-      if (!health_.path_ok(g, view.believed_path)) {
-        const auto repair =
-            health_.repair_path(g, view.flow.ingress, view.flow.egress);
-        if (repair) {
-          channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-          schedule_update(flow, *repair);
-          continue;
-        }
-      }
-    }
-    if (restarted &&
-        faults::HealthView::path_uses_node(view.believed_path, *restarted)) {
-      // The restarted switch lost its rules. ez-Segway has no verified
-      // re-deploy wave; the controller directly re-pushes the believed
-      // rule as a one-node segment and kicks it with a notify.
-      const net::NodeId succ = succ_on(view.believed_path, *restarted);
-      channel_.metrics().counter("ctrl.recovery_redeploys", {}).inc();
-      p4rt::EzCmdHeader cmd;
-      cmd.flow = flow;
-      cmd.target = *restarted;
-      cmd.version = view.version;
-      cmd.has_rule_change = true;
-      cmd.rule_segment = 0;
-      cmd.egress_port_new = succ == net::kNoNode
-                                ? p4rt::SwitchDevice::kLocalPort
-                                : g.port_of(*restarted, succ);
-      cmd.upstream_port = -1;
-      cmd.is_segment_top = true;
-      cmd.flow_size = view.flow.size;
-      channel_.send_to_switch(*restarted, p4rt::Packet{cmd});
-      p4rt::EzNotifyHeader n;
-      n.flow = flow;
-      n.version = view.version;
-      n.segment_id = 0;
-      channel_.send_to_switch(*restarted, p4rt::Packet{n});
-    }
-  }
+void EzSegwayController::redeploy(net::FlowId flow, net::NodeId node) {
+  // ez-Segway has no verified re-deploy wave; the controller directly
+  // re-pushes the believed rule as a one-node segment and kicks it with a
+  // notify.
+  const control::FlowView& view = nib_.view(flow);
+  const net::NodeId succ = net::next_hop(view.believed_path, node);
+  p4rt::EzCmdHeader cmd;
+  cmd.flow = flow;
+  cmd.target = node;
+  cmd.version = view.version;
+  cmd.has_rule_change = true;
+  cmd.rule_segment = 0;
+  cmd.egress_port_new = succ == net::kNoNode
+                            ? p4rt::SwitchDevice::kLocalPort
+                            : nib_.graph().port_of(node, succ);
+  cmd.upstream_port = -1;
+  cmd.is_segment_top = true;
+  cmd.flow_size = view.flow.size;
+  channel_.send_to_switch(node, p4rt::Packet{cmd});
+  p4rt::EzNotifyHeader n;
+  n.flow = flow;
+  n.version = view.version;
+  n.segment_id = 0;
+  channel_.send_to_switch(node, p4rt::Packet{n});
 }
 
 }  // namespace p4u::baseline

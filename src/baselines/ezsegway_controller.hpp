@@ -10,9 +10,9 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "baselines/dependency_graph.hpp"
@@ -39,12 +39,10 @@ struct EzControllerParams {
 /// update times.
 constexpr sim::Duration kWorkUnitCost = sim::microseconds(50);
 
-class EzSegwayController final : public p4rt::ControllerApp {
+class EzSegwayController final : public faults::RecoveringController {
  public:
   EzSegwayController(p4rt::ControlChannel& channel, control::Nib nib,
                      EzControllerParams params = {});
-
-  void register_flow(const net::Flow& f, const net::Path& initial_path);
 
   struct Prepared {
     p4rt::Version version = 0;
@@ -62,8 +60,10 @@ class EzSegwayController final : public p4rt::ControllerApp {
       const std::vector<std::pair<net::FlowId, net::Path>>& updates) const;
 
   /// Schedules one flow update; queues it if this flow's previous update is
-  /// still in flight (ez-Segway's consistency choice, §4.2).
-  p4rt::Version schedule_update(net::FlowId flow, const net::Path& new_path);
+  /// still in flight (ez-Segway's consistency choice, §4.2) and returns 0.
+  /// on_settled fires before a settled update's queued follow-up is issued.
+  p4rt::Version schedule_update(net::FlowId flow,
+                                const net::Path& new_path) override;
 
   /// Batch preamble: computes the congestion variant's global priorities
   /// (and occupies the channel for the centralized compute) before any of
@@ -79,23 +79,6 @@ class EzSegwayController final : public p4rt::ControllerApp {
 
   void handle_from_switch(net::NodeId from, const p4rt::Packet& pkt) override;
 
-  // Failure detection (ControlChannel).
-  void handle_link_state(net::LinkId link, net::NodeId a, net::NodeId b,
-                         bool up) override;
-  void handle_switch_state(net::NodeId node, bool up) override;
-
-  [[nodiscard]] control::Nib& nib() noexcept { return nib_; }
-  [[nodiscard]] control::FlowDb& flow_db() noexcept { return flow_db_; }
-
-  std::function<void(net::FlowId, p4rt::Version, sim::Time)> on_complete;
-  /// Invoked whenever an issued update reaches a terminal outcome
-  /// (kCompleted / kRolledBack / kAbandoned), after all controller state
-  /// was updated — a handler may synchronously schedule the next update.
-  /// Fires before issue_next_queued drains this flow's internal queue.
-  std::function<void(net::FlowId, p4rt::Version, control::UpdateOutcome,
-                     sim::Time)>
-      on_settled;
-
  private:
   using Key = std::pair<net::FlowId, p4rt::Version>;
 
@@ -104,40 +87,27 @@ class EzSegwayController final : public p4rt::ControllerApp {
   /// Pops and issues the next queued update for `flow`, if any.
   void issue_next_queued(net::FlowId flow);
 
-  // --- recovery state machine (params_.recovery) ---
-  struct RetryState {
-    p4rt::Version version = 0;
-    int attempts = 0;
-    std::uint64_t gen = 0;
-  };
-  void track_update(net::FlowId flow, p4rt::Version version);
-  void arm_retry_timer(net::FlowId flow);
-  void on_retry_timer(net::FlowId flow, std::uint64_t gen);
+  // --- recovery hooks (faults::RecoveringController) ---
   /// Re-sends the update's commands with the retrigger flag: switches that
   /// already acted re-emit their notifies/UFMs instead of re-installing.
-  void resend_cmds(net::FlowId flow, p4rt::Version version);
-  void settle_update(net::FlowId flow, p4rt::Version version);
-  /// Drops the in-flight update's controller state without a terminal
-  /// outcome (the caller supersedes it with a repair version).
-  void cancel_inflight(net::FlowId flow, p4rt::Version version);
-  void repair_around(const std::function<bool(const net::Path&)>& hits);
-  void reissue_after_recovery(std::optional<net::NodeId> restarted);
+  void resend(net::FlowId flow, p4rt::Version version) override;
+  /// Forgets the update's segment bookkeeping. A repair also drops the
+  /// flow's queued follow-ups and releases the flow so the repair issues.
+  void cancel_inflight(net::FlowId flow, p4rt::Version version,
+                       bool superseded) override;
+  /// Issues each given-up flow's next queued update.
+  void pump_next(std::span<const net::FlowId> settled) override;
+  /// Re-pushes the believed rule as a one-node segment and kicks it.
+  void redeploy(net::FlowId flow, net::NodeId node) override;
 
-  p4rt::ControlChannel& channel_;
-  control::Nib nib_;
-  control::FlowDb flow_db_;
   EzControllerParams params_;
   std::map<Key, std::int32_t> remaining_;
-  std::map<Key, net::Path> issued_paths_;
   std::map<net::FlowId, std::deque<net::Path>> queued_;
   std::map<net::FlowId, std::uint8_t> priority_;
   // Segment-top reporters already counted against remaining_: recovery
   // resends make duplicate UFMs possible, and a double-decrement would
   // complete an update whose segments never all finished.
   std::map<Key, std::set<net::NodeId>> ufm_seen_;
-  faults::HealthView health_;
-  std::map<net::FlowId, RetryState> retry_;
-  std::uint64_t retry_gen_ = 0;
 };
 
 }  // namespace p4u::baseline

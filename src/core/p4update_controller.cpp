@@ -24,14 +24,8 @@ using PrepClock = std::chrono::steady_clock;
 P4UpdateController::P4UpdateController(p4rt::ControlChannel& channel,
                                        control::Nib nib,
                                        P4UpdateControllerParams params)
-    : channel_(channel), nib_(std::move(nib)), params_(params) {
-  channel_.set_app(this);
-}
-
-void P4UpdateController::register_flow(const net::Flow& f,
-                                       const net::Path& initial_path) {
-  nib_.record_flow(f, initial_path);
-}
+    : RecoveringController(channel, std::move(nib), params.recovery),
+      params_(params) {}
 
 p4rt::Version P4UpdateController::deploy_new_flow(const net::Flow& f,
                                                   const net::Path& path) {
@@ -131,18 +125,12 @@ p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
       return 0;  // belief (and version counter) untouched: nothing was sent
     }
   }
-  const p4rt::Version version = nib_.next_version(flow);
+  const p4rt::Version version = begin_update(flow, new_path);
   last_issued_type_[flow] = prepared.type;
-  issued_paths_[{flow, version}] = new_path;
-  nib_.view(flow).update_in_progress = true;
-  // Issue timestamp is "now" at the controller; the ControlChannel
-  // serializes the actual sends below (update time is measured from the
-  // sending of UIMs to the receiving of the UFM, §9.2).
-  flow_db_.on_issued(flow, version, channel_.now());
   for (const p4rt::UimHeader& uim : prepared.uims) {
     channel_.send_to_switch(uim.target, p4rt::Packet{uim});
   }
-  if (params_.recovery.enabled) track_update(flow, version);
+  track_update(flow, version);
   return version;
 }
 
@@ -208,27 +196,13 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
         if (--exp->second > 0) return;
         expected_ufms_.erase(exp);
       }
-      flow_db_.on_completed(ufm.flow, ufm.version, channel_.now());
+      complete(ufm.flow, ufm.version);
+      // The record's duration is final once completed, whatever the settle
+      // handlers issued meanwhile.
       if (const auto rtt = flow_db_.duration(ufm.flow, ufm.version)) {
         channel_.metrics()
             .histogram("ctrl.update_rtt_ms", {})
             .observe(sim::to_ms(*rtt));
-      }
-      auto it = issued_paths_.find({ufm.flow, ufm.version});
-      if (it != issued_paths_.end()) {
-        nib_.believe_path(ufm.flow, it->second);
-      }
-      nib_.view(ufm.flow).update_in_progress = false;
-      // Completion disarms the recovery timer (a timer for a newer version
-      // stays armed: its RetryState carries that version).
-      auto rit = retry_.find(ufm.flow);
-      if (rit != retry_.end() && rit->second.version == ufm.version) {
-        retry_.erase(rit);
-      }
-      if (on_complete) on_complete(ufm.flow, ufm.version, channel_.now());
-      if (on_settled) {
-        on_settled(ufm.flow, ufm.version, control::UpdateOutcome::kCompleted,
-                   channel_.now());
       }
     } else {
       flow_db_.on_alarm(ufm.flow, ufm.version);
@@ -241,13 +215,12 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
       if (params_.enable_retrigger &&
           ufm.alarm == p4rt::AlarmCode::kMalformed) {
         const auto key = std::make_pair(ufm.flow, ufm.version);
-        auto issued = issued_paths_.find(key);
-        if (issued != issued_paths_.end() &&
+        if (issued_path(ufm.flow, ufm.version) != nullptr &&
             nib_.view(ufm.flow).version == ufm.version &&
-            retriggers_[key] < params_.max_retriggers) {
+            retriggers_[key] < kMaxRetriggers) {
           ++retriggers_[key];
           channel_.metrics().counter("ctrl.retriggers", {}).inc();
-          resend_uims(ufm.flow, ufm.version, issued->second);
+          resend(ufm.flow, ufm.version);
         }
       }
     }
@@ -259,13 +232,14 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
   }
 }
 
-void P4UpdateController::resend_uims(net::FlowId flow, p4rt::Version version,
-                                     const net::Path& path) {
+void P4UpdateController::resend(net::FlowId flow, p4rt::Version version) {
+  const net::Path* path = issued_path(flow, version);
+  if (path == nullptr) return;
   // Keep the originally decided type: Alg. 1/2 re-run idempotently on
   // switches that already applied, and the rest pick the update up.
   const auto type_it = last_issued_type_.find(flow);
   const Prepared again =
-      prepare(flow, path, version,
+      prepare(flow, *path, version,
               type_it == last_issued_type_.end()
                   ? std::nullopt
                   : std::optional<p4rt::UpdateType>(type_it->second));
@@ -274,177 +248,11 @@ void P4UpdateController::resend_uims(net::FlowId flow, p4rt::Version version,
   }
 }
 
-void P4UpdateController::track_update(net::FlowId flow,
-                                      p4rt::Version version) {
-  retry_[flow] = RetryState{version, 0, ++retry_gen_};
-  arm_retry_timer(flow);
-}
-
-void P4UpdateController::arm_retry_timer(net::FlowId flow) {
-  const RetryState& rs = retry_.at(flow);
-  channel_.simulator().schedule_in(
-      params_.recovery.timeout_for(rs.attempts),
-      [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
-}
-
-void P4UpdateController::on_retry_timer(net::FlowId flow, std::uint64_t gen) {
-  auto it = retry_.find(flow);
-  if (it == retry_.end() || it->second.gen != gen) return;  // superseded
-  RetryState& rs = it->second;
-  if (rs.attempts >= params_.recovery.max_retries) {
-    settle_update(flow, rs.version);
-    return;
-  }
-  ++rs.attempts;
-  rs.gen = ++retry_gen_;  // the re-armed timer below owns the entry now
-  channel_.metrics().counter("ctrl.recovery_resends", {}).inc();
-  const auto issued = issued_paths_.find({flow, rs.version});
-  if (issued != issued_paths_.end()) {
-    resend_uims(flow, rs.version, issued->second);
-  }
-  arm_retry_timer(flow);
-}
-
-void P4UpdateController::settle_update(net::FlowId flow,
-                                       p4rt::Version version) {
-  // Rolled back when the previously installed path is believed healthy
-  // (traffic keeps flowing on it); abandoned when even that path is dead.
-  const bool old_ok =
-      health_.path_ok(nib_.graph(), nib_.view(flow).believed_path);
-  const control::UpdateOutcome outcome =
-      old_ok ? control::UpdateOutcome::kRolledBack
-             : control::UpdateOutcome::kAbandoned;
-  flow_db_.on_gave_up(flow, version, outcome, channel_.now());
-  channel_.metrics()
-      .counter("ctrl.recovery_gaveup", {{"outcome", control::to_string(outcome)}})
-      .inc();
-  nib_.view(flow).update_in_progress = false;
-  retry_.erase(flow);
-  if (on_settled) on_settled(flow, version, outcome, channel_.now());
-}
-
-void P4UpdateController::handle_link_state(net::LinkId link, net::NodeId a,
-                                           net::NodeId b, bool up) {
-  (void)a;
-  (void)b;
-  if (up) {
-    health_.link_up(link);
-  } else {
-    health_.link_down(link);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    const net::Graph& g = nib_.graph();
-    repair_around([&g, link](const net::Path& p) {
-      return faults::HealthView::path_uses_link(g, p, link);
-    });
-  } else {
-    reissue_after_recovery(std::nullopt);
-  }
-}
-
-void P4UpdateController::handle_switch_state(net::NodeId node, bool up) {
-  if (up) {
-    health_.switch_up(node);
-  } else {
-    health_.switch_down(node);
-  }
-  if (!params_.recovery.enabled) return;
-  if (!up) {
-    repair_around([node](const net::Path& p) {
-      return faults::HealthView::path_uses_node(p, node);
-    });
-  } else {
-    reissue_after_recovery(node);
-  }
-}
-
-void P4UpdateController::repair_around(
-    const std::function<bool(const net::Path&)>& hits) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    p4rt::Version doomed = 0;  // in-flight version the fault killed (0: none)
-    if (view.update_in_progress) {
-      // Repair only when the update's *target* crosses the dead element;
-      // an update moving away from it is already the repair.
-      const auto rit = retry_.find(flow);
-      const p4rt::Version v =
-          rit != retry_.end() ? rit->second.version : view.version;
-      const auto pit = issued_paths_.find({flow, v});
-      if (pit == issued_paths_.end() || !hits(pit->second)) continue;
-      doomed = v;
-    } else if (!hits(view.believed_path)) {
-      continue;
-    }
-    const auto repair =
-        health_.repair_path(g, view.flow.ingress, view.flow.egress);
-    if (repair) {
-      channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-      // Supersedes the doomed version (its record leaves the terminality
-      // denominator; the repair's own timer takes over liveness).
-      schedule_update(flow, *repair);
-      continue;
-    }
-    // Disconnected by the faults. An in-flight update settles abandoned
-    // now; an idle flow keeps its (dead) config until an element returns.
-    if (doomed != 0) {
-      flow_db_.on_gave_up(flow, doomed, control::UpdateOutcome::kAbandoned,
-                          channel_.now());
-      channel_.metrics()
-          .counter("ctrl.recovery_gaveup", {{"outcome", "abandoned"}})
-          .inc();
-      nib_.view(flow).update_in_progress = false;
-      retry_.erase(flow);
-      if (on_settled) {
-        on_settled(flow, doomed, control::UpdateOutcome::kAbandoned,
-                   channel_.now());
-      }
-    } else {
-      channel_.metrics().counter("ctrl.recovery_stranded", {}).inc();
-    }
-  }
-}
-
-void P4UpdateController::reissue_after_recovery(
-    std::optional<net::NodeId> restarted) {
-  const net::Graph& g = nib_.graph();
-  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
-    const control::FlowView& view = nib_.view(flow);
-    if (view.update_in_progress) continue;  // a live timer owns this flow
-    const auto& hist = flow_db_.history(flow);
-    const bool settled_short =
-        !hist.empty() &&
-        (hist.back().outcome == control::UpdateOutcome::kRolledBack ||
-         hist.back().outcome == control::UpdateOutcome::kAbandoned);
-    if (settled_short) {
-      // First choice: the update we actually wanted, if it is viable now.
-      const auto pit = issued_paths_.find({flow, hist.back().version});
-      if (pit != issued_paths_.end() && health_.path_ok(g, pit->second)) {
-        channel_.metrics().counter("ctrl.recovery_reissues", {}).inc();
-        schedule_update(flow, pit->second);
-        continue;
-      }
-      // Otherwise get the flow off a still-dead installed path if possible.
-      if (!health_.path_ok(g, view.believed_path)) {
-        const auto repair =
-            health_.repair_path(g, view.flow.ingress, view.flow.egress);
-        if (repair) {
-          channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
-          schedule_update(flow, *repair);
-          continue;
-        }
-      }
-    }
-    if (restarted &&
-        faults::HealthView::path_uses_node(view.believed_path, *restarted)) {
-      // The restarted switch lost its rules and UIB (Table 1 registers are
-      // volatile): re-issue the believed path so the verified UNM chain
-      // re-installs every hop.
-      channel_.metrics().counter("ctrl.recovery_redeploys", {}).inc();
-      schedule_update(flow, view.believed_path);
-    }
-  }
+void P4UpdateController::redeploy(net::FlowId flow, net::NodeId node) {
+  (void)node;
+  // The restarted switch lost its rules and UIB (Table 1 registers are
+  // volatile): the believed path's version carries every hop again.
+  schedule_update(flow, nib_.view(flow).believed_path);
 }
 
 }  // namespace p4u::core

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/dest_tree.hpp"
@@ -34,9 +35,9 @@ struct P4UpdateControllerParams {
   bool allow_consecutive_dual = false;
   /// §11 "Failures in the Update Process": when a switch reports that it
   /// gave up waiting (lost UNM/UIM), re-send the version's UIMs so the
-  /// egress re-generates the notification chain. Bounded per version.
+  /// egress re-generates the notification chain. Bounded per version by
+  /// kMaxRetriggers.
   bool enable_retrigger = false;
-  int max_retriggers = 5;
   /// Record the wall-clock preparation cost (the Fig. 8 quantity) into the
   /// ctrl.prep_ms histogram. The one real-time measurement in the
   /// simulation — campaigns turn it off so merged run reports stay
@@ -57,13 +58,13 @@ struct P4UpdateControllerParams {
   bool enforce_preflight = false;
 };
 
-class P4UpdateController final : public p4rt::ControllerApp {
+/// §11 re-triggers allowed per (flow, version).
+constexpr int kMaxRetriggers = 5;
+
+class P4UpdateController final : public faults::RecoveringController {
  public:
   P4UpdateController(p4rt::ControlChannel& channel, control::Nib nib,
                      P4UpdateControllerParams params = {});
-
-  /// Registers a flow already deployed in the data plane (version 1).
-  void register_flow(const net::Flow& f, const net::Path& initial_path);
 
   /// Deploys a brand-new flow *through the data plane*: registers it at
   /// version 0 and issues a version-1 update over `path`. The egress
@@ -90,8 +91,10 @@ class P4UpdateController final : public p4rt::ControllerApp {
       std::optional<p4rt::UpdateType> type_override = std::nullopt) const;
 
   /// Issues the update: bumps the version, sends the UIMs (egress first),
-  /// and records it in the Flow DB. Returns the version used.
-  p4rt::Version schedule_update(net::FlowId flow, const net::Path& new_path);
+  /// and records it in the Flow DB. Returns the version used, or 0 when
+  /// enforce_preflight refused the plan.
+  p4rt::Version schedule_update(net::FlowId flow,
+                                const net::Path& new_path) override;
 
   /// §11 destination-based routing: updates the destination's whole
   /// forwarding tree in one verified wave. Depths become the distances, the
@@ -108,77 +111,35 @@ class P4UpdateController final : public p4rt::ControllerApp {
 
   void handle_from_switch(net::NodeId from, const p4rt::Packet& pkt) override;
 
-  // Failure detection (ControlChannel): updates the health view and — when
-  // recovery is enabled — repairs around dead elements / re-deploys after
-  // restarts.
-  void handle_link_state(net::LinkId link, net::NodeId a, net::NodeId b,
-                         bool up) override;
-  void handle_switch_state(net::NodeId node, bool up) override;
-
-  [[nodiscard]] control::Nib& nib() { return nib_; }
-  [[nodiscard]] control::FlowDb& flow_db() { return flow_db_; }
   [[nodiscard]] const P4UpdateControllerParams& params() const {
     return params_;
   }
 
-  /// Invoked on UFM success (flow converged to version).
-  std::function<void(net::FlowId, p4rt::Version, sim::Time)> on_complete;
-  /// Invoked whenever an issued update reaches a terminal outcome:
-  /// kCompleted on UFM success, kRolledBack / kAbandoned when recovery gave
-  /// up. Fired after all controller state for the version was updated, so a
-  /// handler may synchronously schedule the flow's next update (the
-  /// admission queue does).
-  std::function<void(net::FlowId, p4rt::Version, control::UpdateOutcome,
-                     sim::Time)>
-      on_settled;
   /// Invoked on UFM alarm.
   std::function<void(net::FlowId, p4rt::Version, p4rt::AlarmCode)> on_alarm;
   /// Invoked on FRM (new flow seen in the data plane).
   std::function<void(const p4rt::FrmHeader&)> on_frm;
 
  private:
+  // --- recovery hooks (faults::RecoveringController) ---
   /// Re-sends the UIMs of an already-issued (flow, version), keeping the
   /// originally decided update type (shared by §11 retrigger and the
   /// recovery resend path).
-  void resend_uims(net::FlowId flow, p4rt::Version version,
-                   const net::Path& path);
+  void resend(net::FlowId flow, p4rt::Version version) override;
+  /// Nothing to drop: the repair's newer version fast-forwards the data
+  /// plane past the doomed one.
+  void cancel_inflight(net::FlowId, p4rt::Version, bool) override {}
+  /// Nothing waits: every update is issued on arrival.
+  void pump_next(std::span<const net::FlowId>) override {}
+  /// Re-issues the believed path so the verified UNM chain re-installs
+  /// every hop.
+  void redeploy(net::FlowId flow, net::NodeId node) override;
 
-  // --- recovery state machine (params_.recovery) ---
-  /// One live completion timer per flow; a new version supersedes the old
-  /// timer via the generation counter.
-  struct RetryState {
-    p4rt::Version version = 0;
-    int attempts = 0;
-    std::uint64_t gen = 0;
-  };
-  void track_update(net::FlowId flow, p4rt::Version version);
-  void arm_retry_timer(net::FlowId flow);
-  void on_retry_timer(net::FlowId flow, std::uint64_t gen);
-  /// Retries exhausted: settle at kRolledBack (old path believed healthy)
-  /// or kAbandoned, and stop tracking.
-  void settle_update(net::FlowId flow, p4rt::Version version);
-  /// A believed-dead element took out paths: supersede affected in-flight
-  /// updates and reroute affected idle flows. `hits(path)` says whether a
-  /// path crosses the element.
-  void repair_around(
-      const std::function<bool(const net::Path&)>& hits);
-  /// A restarted element came back: re-issue updates that settled without
-  /// completing, and re-deploy believed paths across a restarted switch
-  /// (its Table 1 registers and rules were wiped).
-  void reissue_after_recovery(std::optional<net::NodeId> restarted);
-
-  p4rt::ControlChannel& channel_;
-  control::Nib nib_;
-  control::FlowDb flow_db_;
   P4UpdateControllerParams params_;
   std::map<net::FlowId, p4rt::UpdateType> last_issued_type_;
-  std::map<std::pair<net::FlowId, p4rt::Version>, net::Path> issued_paths_;
   std::map<std::pair<net::FlowId, p4rt::Version>, int> retriggers_;
   // Tree updates complete when every leaf reported (default expectation: 1).
   std::map<std::pair<net::FlowId, p4rt::Version>, int> expected_ufms_;
-  faults::HealthView health_;
-  std::map<net::FlowId, RetryState> retry_;
-  std::uint64_t retry_gen_ = 0;
 
  public:
   /// Number of §11 re-triggers performed (tests/benches).

@@ -22,8 +22,11 @@ namespace p4u::faults {
 
 /// Random fault injection on switch-to-switch hops (§5: dropped update
 /// packets, update packet reordering). Targeted faults are FaultEvents.
+/// Controller <-> switch messages (UIMs, commands, UFMs, acks) travel the
+/// ControlChannel, not a fabric link, and are never dropped.
 struct FaultModel {
-  double control_drop_prob = 0.0;    // applies to UIM/UNM/... messages
+  double control_drop_prob = 0.0;    // control packets on fabric links (UNMs,
+                                     // ez-Segway segment notifies)
   double data_drop_prob = 0.0;       // applies to DataHeader packets
   sim::Duration reorder_jitter = 0;  // extra uniform [0, jitter] per hop
 };

@@ -1,19 +1,11 @@
 #include "faults/recovery.hpp"
 
 #include <algorithm>
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace p4u::faults {
-
-sim::Duration RecoveryParams::timeout_for(int attempt) const {
-  double t = static_cast<double>(initial_timeout);
-  for (int i = 0; i < attempt; ++i) {
-    t *= backoff;
-    if (t >= static_cast<double>(sim::kTimeInfinity)) {
-      return sim::kTimeInfinity;
-    }
-  }
-  return static_cast<sim::Duration>(t);
-}
 
 bool HealthView::path_ok(const net::Graph& g, const net::Path& path) const {
   for (std::size_t i = 0; i < path.size(); ++i) {
@@ -45,6 +37,220 @@ std::optional<net::Path> HealthView::repair_path(const net::Graph& g,
   const std::vector<net::LinkId> links(down_links_.begin(), down_links_.end());
   const std::vector<net::NodeId> nodes(down_nodes_.begin(), down_nodes_.end());
   return net::shortest_path_avoiding_elements(g, src, dst, links, nodes);
+}
+
+RecoveringController::RecoveringController(p4rt::ControlChannel& channel,
+                                           control::Nib nib,
+                                           RecoveryParams recovery)
+    : channel_(channel), nib_(std::move(nib)), recovery_(recovery) {
+  channel_.set_app(this);
+}
+
+void RecoveringController::register_flow(const net::Flow& f,
+                                         const net::Path& initial_path) {
+  nib_.record_flow(f, initial_path);
+}
+
+p4rt::Version RecoveringController::begin_update(net::FlowId flow,
+                                                 const net::Path& path) {
+  const p4rt::Version v = nib_.next_version(flow);
+  issued_paths_[{flow, v}] = path;
+  nib_.view(flow).update_in_progress = true;
+  // Issue timestamp is "now" at the controller; the ControlChannel
+  // serializes the actual sends (update time is measured from the sending
+  // of the first message to the confirmation, §9.2).
+  flow_db_.on_issued(flow, v, channel_.now());
+  return v;
+}
+
+const net::Path* RecoveringController::issued_path(net::FlowId flow,
+                                                   p4rt::Version v) const {
+  const auto it = issued_paths_.find({flow, v});
+  return it == issued_paths_.end() ? nullptr : &it->second;
+}
+
+void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
+  flow_db_.on_completed(flow, v, channel_.now());
+  if (const net::Path* path = issued_path(flow, v)) {
+    nib_.believe_path(flow, *path);
+  }
+  nib_.view(flow).update_in_progress = false;
+  // Completion disarms the timer (a timer for a newer version stays armed:
+  // its RetryState carries that version).
+  const auto rit = retry_.find(flow);
+  if (rit != retry_.end() && rit->second.version == v) retry_.erase(rit);
+  if (on_complete) on_complete(flow, v, channel_.now());
+  if (on_settled) {
+    on_settled(flow, v, control::UpdateOutcome::kCompleted, channel_.now());
+  }
+}
+
+void RecoveringController::untrack(net::FlowId flow) {
+  nib_.view(flow).update_in_progress = false;
+  retry_.erase(flow);
+}
+
+void RecoveringController::track_update(net::FlowId flow, p4rt::Version v) {
+  if (!recovery_.enabled) return;
+  retry_[flow] = RetryState{v, 0, ++retry_gen_};
+  arm_retry_timer(flow);
+}
+
+void RecoveringController::arm_retry_timer(net::FlowId flow) {
+  const RetryState& rs = retry_.at(flow);
+  channel_.simulator().schedule_in(
+      kInitialTimeout << rs.attempts,
+      [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
+}
+
+void RecoveringController::on_retry_timer(net::FlowId flow,
+                                          std::uint64_t gen) {
+  auto it = retry_.find(flow);
+  if (it == retry_.end() || it->second.gen != gen) return;  // superseded
+  RetryState& rs = it->second;
+  const p4rt::Version v = rs.version;
+  if (rs.attempts >= kMaxRetries) {
+    // Rolled back when the previously installed path is believed healthy
+    // (traffic keeps flowing on it); abandoned when even that path is dead.
+    const bool old_ok =
+        health_.path_ok(nib_.graph(), nib_.view(flow).believed_path);
+    give_up(flow, v,
+            old_ok ? control::UpdateOutcome::kRolledBack
+                   : control::UpdateOutcome::kAbandoned);
+    pump_next({&flow, 1});
+    return;
+  }
+  ++rs.attempts;
+  rs.gen = ++retry_gen_;  // the re-armed timer below owns the entry now
+  channel_.metrics().counter("ctrl.recovery_resends", {}).inc();
+  resend(flow, v);
+  arm_retry_timer(flow);
+}
+
+void RecoveringController::give_up(net::FlowId flow, p4rt::Version v,
+                                   control::UpdateOutcome outcome) {
+  cancel_inflight(flow, v, /*superseded=*/false);
+  flow_db_.on_gave_up(flow, v, outcome, channel_.now());
+  channel_.metrics()
+      .counter("ctrl.recovery_gaveup",
+               {{"outcome", control::to_string(outcome)}})
+      .inc();
+  untrack(flow);
+  if (on_settled) on_settled(flow, v, outcome, channel_.now());
+}
+
+void RecoveringController::handle_link_state(net::LinkId link, net::NodeId a,
+                                             net::NodeId b, bool up) {
+  (void)a;
+  (void)b;
+  if (up) {
+    health_.link_up(link);
+  } else {
+    health_.link_down(link);
+  }
+  if (!recovery_.enabled) return;
+  if (!up) {
+    const net::Graph& g = nib_.graph();
+    repair_around([&g, link](const net::Path& p) {
+      return HealthView::path_uses_link(g, p, link);
+    });
+  } else {
+    reissue_after_recovery(std::nullopt);
+  }
+}
+
+void RecoveringController::handle_switch_state(net::NodeId node, bool up) {
+  if (up) {
+    health_.switch_up(node);
+  } else {
+    health_.switch_down(node);
+  }
+  if (!recovery_.enabled) return;
+  if (!up) {
+    repair_around([node](const net::Path& p) {
+      return HealthView::path_uses_node(p, node);
+    });
+  } else {
+    reissue_after_recovery(node);
+  }
+}
+
+void RecoveringController::repair_around(
+    const std::function<bool(const net::Path&)>& hits) {
+  const net::Graph& g = nib_.graph();
+  std::vector<net::FlowId> abandoned;
+  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
+    const control::FlowView& view = nib_.view(flow);
+    p4rt::Version doomed = 0;  // in-flight version the fault killed (0: none)
+    if (view.update_in_progress) {
+      // Repair only when the update's *target* crosses the dead element;
+      // an update moving away from it is already the repair.
+      const auto rit = retry_.find(flow);
+      const p4rt::Version v =
+          rit != retry_.end() ? rit->second.version : view.version;
+      const net::Path* target = issued_path(flow, v);
+      if (target == nullptr || !hits(*target)) continue;
+      doomed = v;
+    } else if (!hits(view.believed_path)) {
+      continue;
+    }
+    const auto repair =
+        health_.repair_path(g, view.flow.ingress, view.flow.egress);
+    if (repair) {
+      // Supersedes the doomed version (its record leaves the terminality
+      // denominator; the repair's own timer takes over liveness).
+      if (doomed != 0) cancel_inflight(flow, doomed, /*superseded=*/true);
+      channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
+      schedule_update(flow, *repair);
+    } else if (doomed != 0) {
+      // Disconnected by the faults: the in-flight update settles abandoned
+      // now.
+      give_up(flow, doomed, control::UpdateOutcome::kAbandoned);
+      abandoned.push_back(flow);
+    } else {
+      // An idle flow keeps its (dead) config until an element returns.
+      channel_.metrics().counter("ctrl.recovery_stranded", {}).inc();
+    }
+  }
+  pump_next(abandoned);
+}
+
+void RecoveringController::reissue_after_recovery(
+    std::optional<net::NodeId> restarted) {
+  const net::Graph& g = nib_.graph();
+  for (const net::FlowId flow : nib_.sorted_flow_ids()) {
+    const control::FlowView& view = nib_.view(flow);
+    if (view.update_in_progress) continue;  // a live timer owns this flow
+    const auto& hist = flow_db_.history(flow);
+    const bool settled_short =
+        !hist.empty() &&
+        (hist.back().outcome == control::UpdateOutcome::kRolledBack ||
+         hist.back().outcome == control::UpdateOutcome::kAbandoned);
+    if (settled_short) {
+      // First choice: the update we actually wanted, if it is viable now.
+      const net::Path* wanted = issued_path(flow, hist.back().version);
+      if (wanted != nullptr && health_.path_ok(g, *wanted)) {
+        channel_.metrics().counter("ctrl.recovery_reissues", {}).inc();
+        schedule_update(flow, *wanted);
+        continue;
+      }
+      // Otherwise get the flow off a still-dead installed path if possible.
+      if (!health_.path_ok(g, view.believed_path)) {
+        const auto repair =
+            health_.repair_path(g, view.flow.ingress, view.flow.egress);
+        if (repair) {
+          channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
+          schedule_update(flow, *repair);
+          continue;
+        }
+      }
+    }
+    if (restarted &&
+        HealthView::path_uses_node(view.believed_path, *restarted)) {
+      channel_.metrics().counter("ctrl.recovery_redeploys", {}).inc();
+      redeploy(flow, *restarted);
+    }
+  }
 }
 
 }  // namespace p4u::faults

@@ -1,11 +1,13 @@
-// Controller-side recovery: the shared pieces every controller (P4Update,
-// ez-Segway, Central) uses to survive the failure domain.
+// Controller-side recovery: one update lifecycle that every controller
+// (P4Update, ez-Segway, Central) inherits, so the three systems differ in
+// how they update and not in how they survive the failure domain.
 //
-//   - RecoveryParams: per-update completion timers with exponential backoff
-//     and a retry cap. A controller that issued an update arms a timer; on
-//     expiry it resends the update messages; once the cap is exhausted it
-//     settles the update at a terminal outcome (rolled back when the old
-//     path still carries traffic, abandoned when it cannot).
+//   - RecoveringController: the shared base. It owns the NIB, the FlowDb,
+//     the issued (flow, version) -> path map, the completion timers with
+//     exponential backoff and a retry cap, and the repair and re-issue
+//     scans that run on link and switch state changes. A controller keeps
+//     only its protocol plus four hooks: resend, cancel-inflight, pump-next
+//     and redeploy.
 //   - HealthView: the controller's belief about dead links and crashed
 //     switches, fed by the control channel's failure notifications. Answers
 //     "is this path still viable?" and "find me a repair path around the
@@ -15,28 +17,33 @@
 // fault-free benches must not pay for timers they never need.
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
 #include <set>
-#include <vector>
+#include <span>
+#include <utility>
 
+#include "control/flow_db.hpp"
+#include "control/nib.hpp"
 #include "net/graph.hpp"
 #include "net/paths.hpp"
+#include "p4rt/control_channel.hpp"
 #include "sim/time.hpp"
 
 namespace p4u::faults {
 
-struct RecoveryParams {
-  /// Master switch; everything below is inert when false.
-  bool enabled = false;
-  /// First completion timeout after issuing an update.
-  sim::Duration initial_timeout = sim::milliseconds(200);
-  /// Timeout multiplier per retry (attempt k waits initial * backoff^k).
-  double backoff = 2.0;
-  /// Resend attempts before settling at a terminal outcome.
-  int max_retries = 4;
+/// Completion timeout after issuing an update. Each resend doubles it, so
+/// the k-th resend fires 200 ms * (2^k - 1) after issue.
+constexpr sim::Duration kInitialTimeout = sim::milliseconds(200);
+/// Resends before the update settles at a terminal outcome: it gives up
+/// 6.2 s after issue, after a last wait of 3.2 s.
+constexpr int kMaxRetries = 4;
 
-  /// Timeout for retry `attempt` (0-based), with saturation: the knobs are
-  /// user input and must not overflow into the past.
-  [[nodiscard]] sim::Duration timeout_for(int attempt) const;
+struct RecoveryParams {
+  /// Master switch for completion timers, resends, repairs and re-issues.
+  bool enabled = false;
 };
 
 /// Dead-element belief. Deliberately a *belief*: it tracks what the
@@ -53,9 +60,6 @@ class HealthView {
   }
   [[nodiscard]] bool node_ok(net::NodeId n) const {
     return down_nodes_.count(n) == 0;
-  }
-  [[nodiscard]] bool all_healthy() const {
-    return down_links_.empty() && down_nodes_.empty();
   }
 
   /// True when every node and every hop of `path` is believed alive.
@@ -79,6 +83,124 @@ class HealthView {
   // deterministic (determinism contract).
   std::set<net::LinkId> down_links_;
   std::set<net::NodeId> down_nodes_;
+};
+
+/// The update lifecycle shared by the three controllers (DESIGN.md §9).
+///
+/// A controller issues an update with begin_update, sends its messages,
+/// arms the completion timer with track_update, and reports success with
+/// complete. Everything after that — resends on timeout, giving up, repairs
+/// around dead elements, re-issues after a heal and re-deploys across a
+/// restarted switch — runs here and calls back into the controller only
+/// through schedule_update and the four hooks.
+class RecoveringController : public p4rt::ControllerApp {
+ public:
+  // The channel and armed timers hold `this`.
+  RecoveringController(const RecoveringController&) = delete;
+  RecoveringController& operator=(const RecoveringController&) = delete;
+
+  /// Registers a flow already deployed in the data plane (version 1).
+  virtual void register_flow(const net::Flow& f,
+                             const net::Path& initial_path);
+
+  /// Issues an update moving `flow` onto `new_path` and returns its
+  /// version; 0 when no version was issued (refused, or queued behind the
+  /// flow's in-flight update).
+  virtual p4rt::Version schedule_update(net::FlowId flow,
+                                        const net::Path& new_path) = 0;
+
+  // Failure detection (ControlChannel): updates the health view and — when
+  // recovery is enabled — repairs around dead elements on a failure and
+  // re-issues or re-deploys after a heal.
+  void handle_link_state(net::LinkId link, net::NodeId a, net::NodeId b,
+                         bool up) final;
+  void handle_switch_state(net::NodeId node, bool up) final;
+
+  [[nodiscard]] control::Nib& nib() noexcept { return nib_; }
+  [[nodiscard]] control::FlowDb& flow_db() noexcept { return flow_db_; }
+
+  /// Invoked when an issued update is confirmed (flow converged to version).
+  std::function<void(net::FlowId, p4rt::Version, sim::Time)> on_complete;
+  /// Invoked whenever an issued update reaches a terminal outcome:
+  /// kCompleted on confirmation, kRolledBack / kAbandoned when recovery gave
+  /// up. Fired after all controller state for the version was updated, so a
+  /// handler may synchronously schedule the flow's next update (the
+  /// admission queue does).
+  std::function<void(net::FlowId, p4rt::Version, control::UpdateOutcome,
+                     sim::Time)>
+      on_settled;
+
+ protected:
+  RecoveringController(p4rt::ControlChannel& channel, control::Nib nib,
+                       RecoveryParams recovery);
+
+  // --- the four per-system hooks ---
+
+  /// A completion timer expired: re-send the messages of (flow, v).
+  virtual void resend(net::FlowId flow, p4rt::Version v) = 0;
+  /// Drop the system's own state for the in-flight (flow, v) without an
+  /// outcome. `superseded` is true when a repair update replaces it, false
+  /// when the update is given up.
+  virtual void cancel_inflight(net::FlowId flow, p4rt::Version v,
+                               bool superseded) = 0;
+  /// The given flows' updates were given up: issue whatever waited on them.
+  /// Runs once per give-up, and once after every repair scan with the flows
+  /// the scan abandoned (possibly none).
+  virtual void pump_next(std::span<const net::FlowId> settled) = 0;
+  /// Switch `node` restarted with its state wiped: re-install the believed
+  /// path's state of `flow` there.
+  virtual void redeploy(net::FlowId flow, net::NodeId node) = 0;
+
+  // --- the lifecycle the controllers drive ---
+
+  /// Bumps the version of `flow`, records `path` as its target, marks the
+  /// update in progress and opens its FlowDb record. Returns the version.
+  p4rt::Version begin_update(net::FlowId flow, const net::Path& path);
+  /// Arms the completion timer of (flow, v) when recovery is on; a newer
+  /// version supersedes the flow's older timer.
+  void track_update(net::FlowId flow, p4rt::Version v);
+  /// The update (flow, v) was confirmed: record it, believe its path,
+  /// disarm its timer and fire on_complete and on_settled.
+  void complete(net::FlowId flow, p4rt::Version v);
+  /// Forgets the flow's in-flight update: the flow reads idle and its
+  /// completion timer is dropped.
+  void untrack(net::FlowId flow);
+  /// The path (flow, v) was issued for; nullptr when none was.
+  [[nodiscard]] const net::Path* issued_path(net::FlowId flow,
+                                             p4rt::Version v) const;
+
+  p4rt::ControlChannel& channel_;
+  control::Nib nib_;
+  control::FlowDb flow_db_;
+
+ private:
+  /// One live completion timer per flow; a new version supersedes the old
+  /// timer via the generation counter.
+  struct RetryState {
+    p4rt::Version version = 0;
+    int attempts = 0;
+    std::uint64_t gen = 0;
+  };
+  void arm_retry_timer(net::FlowId flow);
+  void on_retry_timer(net::FlowId flow, std::uint64_t gen);
+  /// Settles (flow, v) at `outcome` (kRolledBack or kAbandoned) and stops
+  /// tracking it. The caller pumps.
+  void give_up(net::FlowId flow, p4rt::Version v,
+               control::UpdateOutcome outcome);
+  /// A believed-dead element took out paths: supersede affected in-flight
+  /// updates and reroute affected idle flows. `hits(path)` says whether a
+  /// path crosses the element.
+  void repair_around(const std::function<bool(const net::Path&)>& hits);
+  /// A restarted element came back: re-issue updates that settled without
+  /// completing, and re-deploy believed paths across a restarted switch
+  /// (its Table 1 registers and rules were wiped).
+  void reissue_after_recovery(std::optional<net::NodeId> restarted);
+
+  RecoveryParams recovery_;
+  HealthView health_;
+  std::map<net::FlowId, RetryState> retry_;
+  std::uint64_t retry_gen_ = 0;
+  std::map<std::pair<net::FlowId, p4rt::Version>, net::Path> issued_paths_;
 };
 
 }  // namespace p4u::faults

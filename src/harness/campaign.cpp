@@ -139,10 +139,11 @@ RunOutcome run_chaos_job(const RunSpec& spec, std::uint64_t seed) {
   bed.run(kRunUntil);
 
   // Liveness: every flow's latest update must have settled (Completed,
-  // RolledBack, or Abandoned). A run with anything still kPending counts as
-  // incomplete; the sample reports how many updates fully completed.
+  // RolledBack, or Abandoned), and so must every request in the ledger. A
+  // run with anything still pending counts as incomplete; the sample
+  // reports how many updates fully completed.
   RunOutcome out;
-  if (bed.flow_db().all_terminal()) {
+  if (bed.flow_db().all_terminal() && bed.flow_db().all_requests_terminal()) {
     double completed = 0.0;
     for (const TrafficFlow& tf : flows) {
       const auto& hist = bed.flow_db().history(tf.flow.id);

@@ -43,12 +43,6 @@ DetourPaths long_detour_paths(const net::Graph& g) {
   // node pairs and their k-shortest loopless paths for the longest
   // (old, new) pair whose segmentation contains a backward segment — the
   // entangled structure DL-P4Update targets (Fig. 1 writ large).
-  const auto succ_on = [](const net::Path& p, net::NodeId n) {
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      if (p[i] == n) return p[i + 1];
-    }
-    return net::kNoNode;
-  };
   DetourPaths best;
   double best_score = -1.0;
   for (std::size_t s = 0; s < g.node_count(); ++s) {
@@ -71,7 +65,7 @@ DetourPaths long_detour_paths(const net::Graph& g) {
           for (const auto& sgm : seg.segments) {
             const bool nt =
                 sgm.nodes.size() > 2 ||
-                succ_on(ks[a], sgm.ingress_gateway) != sgm.egress_gateway;
+                net::next_hop(ks[a], sgm.ingress_gateway) != sgm.egress_gateway;
             if (!nt) continue;
             ++nontrivial;
             inner += sgm.nodes.size() - 2;

@@ -53,7 +53,7 @@ TestBed::TestBed(net::Graph graph, TestBedParams params)
       params_.ctrl_send_service);
   channel_->set_services(params_.ctrl_send_service, params_.ctrl_recv_service);
 
-  adapter_ = SystemFactory::instance().create(
+  adapter_ = make_system(
       params_.system,
       SystemContext{sim_, *fabric_, *channel_, graph_, params_});
 

@@ -4,7 +4,7 @@
 // drive a TestBed; campaigns (harness/campaign.hpp) run many seeded
 // TestBeds and collect stats.
 //
-// The system under test is built by the SystemFactory registry
+// The system under test is built by make_system
 // (harness/system_factory.hpp): the TestBed drives it exclusively through
 // the SystemAdapter interface and never switches over SystemKind.
 #pragma once

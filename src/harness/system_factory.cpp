@@ -1,6 +1,7 @@
 #include "harness/system_factory.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "baselines/central_controller.hpp"
 #include "baselines/central_switch.hpp"
@@ -25,21 +26,36 @@ const char* to_string(SystemKind k) {
 
 // --- SystemAdapter: ticketed submission over the admission queue ---
 
-void SystemAdapter::init_submission(const SystemContext& ctx) {
-  recovery_ = ctx.params.recovery;
+void SystemAdapter::init_submission(const SystemContext& ctx,
+                                    faults::RecoveringController& ctrl) {
+  controller_ = &ctrl;
   admission_ = std::make_unique<control::AdmissionQueue>(
-      mutable_flow_db(), ctx.params.admission);
+      ctrl.flow_db(), ctx.params.admission);
   admission_->set_clock([sim = &ctx.sim] { return sim->now(); });
   admission_->set_dispatch(
       [this](net::FlowId flow, const net::Path& path) {
         return dispatch_update(flow, path);
       });
+  ctrl.on_settled = [this](net::FlowId flow, p4rt::Version version,
+                           control::UpdateOutcome outcome, sim::Time) {
+    admission_->on_update_settled(flow, version, outcome);
+  };
 }
+
+void SystemAdapter::register_flow(const net::Flow& f, const net::Path& path) {
+  controller_->register_flow(f, path);
+}
+
+const control::FlowDb& SystemAdapter::flow_db() const {
+  return controller_->flow_db();
+}
+
+control::Nib& SystemAdapter::nib() { return controller_->nib(); }
 
 Ticket SystemAdapter::submit(const UpdateRequest& req) {
   const control::RequestId id =
       admission_->submit(req.flow, req.kind, req.new_path);
-  const control::RequestRecord* rec = mutable_flow_db().request(id);
+  const control::RequestRecord* rec = controller_->flow_db().request(id);
   return Ticket{id, req.flow, rec ? rec->version : 0,
                 rec ? rec->submitted_at : 0};
 }
@@ -56,13 +72,13 @@ std::vector<Ticket> SystemAdapter::submit_batch(
 Ticket SystemAdapter::note_instant(net::FlowId flow,
                                    control::RequestKind kind) {
   const control::RequestId id = admission_->note_instant(flow, kind);
-  const control::RequestRecord* rec = mutable_flow_db().request(id);
+  const control::RequestRecord* rec = controller_->flow_db().request(id);
   return Ticket{id, flow, rec ? rec->version : 0, rec ? rec->submitted_at : 0};
 }
 
 const control::RequestRecord* SystemAdapter::request(
     control::RequestId id) const {
-  return const_cast<SystemAdapter*>(this)->mutable_flow_db().request(id);
+  return controller_->flow_db().request(id);
 }
 
 namespace {
@@ -98,11 +114,7 @@ class P4UpdateAdapter final : public SystemAdapter {
       ctrl_->flow_db().reserve(ctx.params.expected_flows);
     }
     metrics_ = &ctx.channel.metrics();
-    init_submission(ctx);
-    ctrl_->on_settled = [this](net::FlowId f, p4rt::Version v,
-                               control::UpdateOutcome o, sim::Time) {
-      settled(f, v, o);
-    };
+    init_submission(ctx, *ctrl_);
   }
 
   void bootstrap_flow_hop(p4rt::SwitchDevice& sw, const net::Flow& f,
@@ -110,13 +122,6 @@ class P4UpdateAdapter final : public SystemAdapter {
     switches_[static_cast<std::size_t>(sw.id())]->bootstrap_flow(
         sw, f.id, /*version=*/1, dist, port, f.size);
   }
-  void register_flow(const net::Flow& f, const net::Path& path) override {
-    ctrl_->register_flow(f, path);
-  }
-  [[nodiscard]] const control::FlowDb& flow_db() const override {
-    return ctrl_->flow_db();
-  }
-  [[nodiscard]] control::Nib& nib() override { return ctrl_->nib(); }
 
   [[nodiscard]] PreflightCounters preflight_counters() const override {
     return PreflightCounters{
@@ -157,9 +162,6 @@ class P4UpdateAdapter final : public SystemAdapter {
     const p4rt::Version v = ctrl_->schedule_update(flow, path);
     return control::DispatchResult{v, v != 0};
   }
-  [[nodiscard]] control::FlowDb& mutable_flow_db() override {
-    return ctrl_->flow_db();
-  }
 
  private:
   std::vector<std::unique_ptr<core::P4UpdateSwitch>> switches_;
@@ -183,11 +185,7 @@ class EzSegwayAdapter final : public SystemAdapter {
     cp.recovery = ctx.params.recovery;
     ctrl_ = std::make_unique<baseline::EzSegwayController>(
         ctx.channel, control::Nib(ctx.graph), cp);
-    init_submission(ctx);
-    ctrl_->on_settled = [this](net::FlowId f, p4rt::Version v,
-                               control::UpdateOutcome o, sim::Time) {
-      settled(f, v, o);
-    };
+    init_submission(ctx, *ctrl_);
   }
 
   void bootstrap_flow_hop(p4rt::SwitchDevice& sw, const net::Flow& f,
@@ -196,13 +194,6 @@ class EzSegwayAdapter final : public SystemAdapter {
     switches_[static_cast<std::size_t>(sw.id())]->bootstrap_flow(sw, f.id,
                                                                  port, f.size);
   }
-  void register_flow(const net::Flow& f, const net::Path& path) override {
-    ctrl_->register_flow(f, path);
-  }
-  [[nodiscard]] const control::FlowDb& flow_db() const override {
-    return ctrl_->flow_db();
-  }
-  [[nodiscard]] control::Nib& nib() override { return ctrl_->nib(); }
   [[nodiscard]] baseline::EzSegwayController* as_ezsegway() override {
     return ctrl_.get();
   }
@@ -220,9 +211,6 @@ class EzSegwayAdapter final : public SystemAdapter {
     for (const UpdateRequest& req : batch)
       updates.emplace_back(req.flow, req.new_path);
     ctrl_->prepare_batch(updates);
-  }
-  [[nodiscard]] control::FlowDb& mutable_flow_db() override {
-    return ctrl_->flow_db();
   }
 
  private:
@@ -244,11 +232,7 @@ class CentralAdapter final : public SystemAdapter {
     }
     ctrl_ = std::make_unique<baseline::CentralController>(
         ctx.channel, control::Nib(ctx.graph), cp);
-    init_submission(ctx);
-    ctrl_->on_settled = [this](net::FlowId f, p4rt::Version v,
-                               control::UpdateOutcome o, sim::Time) {
-      settled(f, v, o);
-    };
+    init_submission(ctx, *ctrl_);
   }
 
   void bootstrap_flow_hop(p4rt::SwitchDevice& sw, const net::Flow& f,
@@ -257,13 +241,6 @@ class CentralAdapter final : public SystemAdapter {
     switches_[static_cast<std::size_t>(sw.id())]->bootstrap_flow(sw, f.id,
                                                                  port);
   }
-  void register_flow(const net::Flow& f, const net::Path& path) override {
-    ctrl_->register_flow(f, path);
-  }
-  [[nodiscard]] const control::FlowDb& flow_db() const override {
-    return ctrl_->flow_db();
-  }
-  [[nodiscard]] control::Nib& nib() override { return ctrl_->nib(); }
   [[nodiscard]] baseline::CentralController* as_central() override {
     return ctrl_.get();
   }
@@ -273,9 +250,6 @@ class CentralAdapter final : public SystemAdapter {
                                           const net::Path& path) override {
     return control::DispatchResult{ctrl_->schedule_update(flow, path), true};
   }
-  [[nodiscard]] control::FlowDb& mutable_flow_db() override {
-    return ctrl_->flow_db();
-  }
 
  private:
   std::vector<std::unique_ptr<baseline::CentralSwitch>> switches_;
@@ -284,68 +258,15 @@ class CentralAdapter final : public SystemAdapter {
 
 }  // namespace
 
-SystemFactory::SystemFactory() {
-  entries_.emplace_back(
-      SystemKind::kP4Update,
-      Entry{"P4Update", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new P4UpdateAdapter(ctx));
-            }});
-  entries_.emplace_back(
-      SystemKind::kEzSegway,
-      Entry{"ez-Segway", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new EzSegwayAdapter(ctx));
-            }});
-  entries_.emplace_back(
-      SystemKind::kCentral,
-      Entry{"Central", [](const SystemContext& ctx) {
-              return std::unique_ptr<SystemAdapter>(new CentralAdapter(ctx));
-            }});
-}
-
-SystemFactory& SystemFactory::instance() {
-  static SystemFactory factory;
-  return factory;
-}
-
-void SystemFactory::register_system(SystemKind kind, std::string name,
-                                    FactoryFn fn) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [k, entry] : entries_) {
-    if (k == kind) {
-      entry = Entry{std::move(name), std::move(fn)};
-      return;
-    }
+std::unique_ptr<SystemAdapter> make_system(SystemKind kind,
+                                           const SystemContext& ctx) {
+  switch (kind) {
+    case SystemKind::kP4Update: return std::make_unique<P4UpdateAdapter>(ctx);
+    case SystemKind::kEzSegway: return std::make_unique<EzSegwayAdapter>(ctx);
+    case SystemKind::kCentral: return std::make_unique<CentralAdapter>(ctx);
   }
-  entries_.emplace_back(kind, Entry{std::move(name), std::move(fn)});
-}
-
-std::unique_ptr<SystemAdapter> SystemFactory::create(
-    SystemKind kind, const SystemContext& ctx) const {
-  FactoryFn fn;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [k, entry] : entries_) {
-      if (k == kind) {
-        fn = entry.fn;
-        break;
-      }
-    }
-  }
-  if (!fn) {
-    throw std::logic_error(std::string("SystemFactory: no system registered "
-                                       "for kind '") +
-                           to_string(kind) + "'");
-  }
-  return fn(ctx);
-}
-
-std::vector<std::pair<SystemKind, std::string>> SystemFactory::registered()
-    const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<SystemKind, std::string>> out;
-  out.reserve(entries_.size());
-  for (const auto& [k, entry] : entries_) out.emplace_back(k, entry.name);
-  return out;
+  throw std::logic_error(std::string("make_system: unknown system kind ") +
+                         std::to_string(static_cast<int>(kind)));
 }
 
 }  // namespace p4u::harness

@@ -1,20 +1,16 @@
-// SystemFactory: uniform construction of the systems under test.
+// System construction: uniform wiring of the systems under test.
 //
-// Every protocol (P4Update, ez-Segway, Central, and anything future PRs
-// add) plugs into the TestBed through one SystemAdapter interface: build
-// the per-switch pipelines against the fabric, build the controller, and
-// answer the handful of operations scenarios need (bootstrap a hop,
-// register / update flows, expose the FlowDb and NIB). The registry maps a
-// SystemKind to a factory so the harness, experiments, and benches never
-// switch over the enum — adding a protocol is one register_system call.
+// Every protocol (P4Update, ez-Segway, Central) plugs into the TestBed
+// through one SystemAdapter interface: build the per-switch pipelines
+// against the fabric, build the controller, and answer the handful of
+// operations scenarios need (bootstrap a hop, register / update flows,
+// expose the FlowDb and NIB). make_system is the one switch over
+// SystemKind; the harness, experiments, and benches never switch over it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,7 +98,7 @@ struct TestBedParams {
   /// link/switch events. Validated against the graph at TestBed
   /// construction; the fabric executes it from the event queue.
   faults::FaultPlan fault_plan;
-  /// Controller-side recovery knobs (completion timers, backoff, repair
+  /// Controller-side recovery (completion timers with backoff, repair
   /// routing). Off by default: fault-free runs stay bit-exact.
   faults::RecoveryParams recovery;
   /// Capacity hints for million-flow runs; 0 = grow on demand (the
@@ -182,7 +178,7 @@ class SystemAdapter {
                                   p4rt::Distance dist, std::int32_t port) = 0;
 
   /// Registers an already-deployed flow with the controller.
-  virtual void register_flow(const net::Flow& f, const net::Path& path) = 0;
+  void register_flow(const net::Flow& f, const net::Path& path);
 
   /// Submits one request through the admission queue.
   Ticket submit(const UpdateRequest& req);
@@ -209,19 +205,15 @@ class SystemAdapter {
     admission_->set_notify(std::move(fn));
   }
 
-  [[nodiscard]] virtual const control::FlowDb& flow_db() const = 0;
-  [[nodiscard]] virtual control::Nib& nib() = 0;
+  [[nodiscard]] const control::FlowDb& flow_db() const;
+  [[nodiscard]] control::Nib& nib();
 
   /// Flushes end-of-run state (per-switch register access counters, …)
   /// into the registry. Must be idempotent; the default does nothing.
   virtual void collect_metrics(obs::MetricsRegistry& m) { (void)m; }
 
-  // Capability accessors: the uniform view of per-system knobs/counters a
+  // Capability accessor: the uniform view of per-system counters a
   // system-agnostic driver (bench/churn) needs, instead of downcasting.
-  /// The run's controller-recovery knobs.
-  [[nodiscard]] const faults::RecoveryParams& recovery_params() const {
-    return recovery_;
-  }
   /// Preflight verdict totals; zeros for systems without static preflight.
   [[nodiscard]] virtual PreflightCounters preflight_counters() const {
     return {};
@@ -255,60 +247,21 @@ class SystemAdapter {
     (void)batch;
   }
 
-  /// The controller's FlowDb, mutably (the admission queue writes the
-  /// request ledger through it).
-  [[nodiscard]] virtual control::FlowDb& mutable_flow_db() = 0;
-
-  /// Wires the admission queue: called once at the END of every derived
-  /// constructor (the controller — and with it the FlowDb — must exist).
-  /// Derived constructors also hook their controller's on_settled to
-  /// `settled` right after.
-  void init_submission(const SystemContext& ctx);
-
-  /// Controller settle hook target: resolves the matching request and pumps
-  /// the queue into the freed slot.
-  void settled(net::FlowId flow, p4rt::Version version,
-               control::UpdateOutcome outcome) {
-    admission_->on_update_settled(flow, version, outcome);
-  }
+  /// Wires the controller into the adapter: the admission queue over its
+  /// FlowDb, and its on_settled hook to resolve the matching request and
+  /// pump the queue into the freed slot. Called once at the END of every
+  /// derived constructor (the controller must exist).
+  void init_submission(const SystemContext& ctx,
+                       faults::RecoveringController& ctrl);
 
  private:
+  faults::RecoveringController* controller_ = nullptr;
   std::unique_ptr<control::AdmissionQueue> admission_;
-  faults::RecoveryParams recovery_;
 };
 
-/// Process-wide registry of SystemKind -> adapter factory. The built-in
-/// systems are registered on first use; future protocols call
-/// register_system once (e.g. from a static initializer).
-class SystemFactory {
- public:
-  using FactoryFn =
-      std::function<std::unique_ptr<SystemAdapter>(const SystemContext&)>;
-
-  /// The singleton, with the built-in systems pre-registered.
-  static SystemFactory& instance();
-
-  /// Registers (or replaces) the factory for `kind`. Thread-safe.
-  void register_system(SystemKind kind, std::string name, FactoryFn fn);
-
-  /// Builds the adapter for `kind`; throws std::logic_error when no factory
-  /// is registered. Thread-safe: campaign jobs create adapters concurrently.
-  [[nodiscard]] std::unique_ptr<SystemAdapter> create(
-      SystemKind kind, const SystemContext& ctx) const;
-
-  /// Registered (kind, name) pairs, in enum order.
-  [[nodiscard]] std::vector<std::pair<SystemKind, std::string>> registered()
-      const;
-
- private:
-  SystemFactory();
-  struct Entry {
-    std::string name;
-    FactoryFn fn;
-  };
-  // p4u-detlint: allow(thread-containment) registration-registry guard: campaign workers read the singleton concurrently; it protects entries_ only and never touches simulation state or report bytes
-  mutable std::mutex mu_;
-  std::vector<std::pair<SystemKind, Entry>> entries_;
-};
+/// Builds the adapter for `kind`: its per-switch pipelines, attached to
+/// the fabric, and its controller.
+[[nodiscard]] std::unique_ptr<SystemAdapter> make_system(
+    SystemKind kind, const SystemContext& ctx);
 
 }  // namespace p4u::harness

@@ -61,6 +61,15 @@ std::vector<Path> k_shortest_paths(const Graph& g, NodeId src, NodeId dst,
 /// Total metric cost of a path (nanoseconds for kLatency, hops for kHops).
 double path_cost(const Graph& g, const Path& p, Metric metric);
 
+/// The node after `n` on `path`; kNoNode when `n` is the path's last node
+/// or not on it.
+inline NodeId next_hop(const Path& path, NodeId n) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (path[i] == n) return path[i + 1];
+  }
+  return kNoNode;
+}
+
 /// True if `p` is a valid simple path in `g` (adjacent hops, no repeats).
 bool valid_simple_path(const Graph& g, const Path& p);
 

@@ -12,13 +12,6 @@ namespace p4u::verify {
 
 namespace {
 
-net::NodeId succ_on(const net::Path& p, net::NodeId n) {
-  for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-    if (p[i] == n) return p[i + 1];
-  }
-  return net::kNoNode;
-}
-
 /// The data plane's believed-or-actual from-state for the builders.
 const net::Path& from_of(const PlanInputs& in) {
   return in.actual_from.empty() ? in.believed_old : in.actual_from;
@@ -133,7 +126,7 @@ FlowPlan plan_ezsegway(const PlanInputs& in) {
     const control::Segment& s = seg.segments[i];
     nontrivial[i] =
         s.nodes.size() > 2 ||
-        succ_on(in.believed_old, s.ingress_gateway) != s.egress_gateway;
+        net::next_hop(in.believed_old, s.ingress_gateway) != s.egress_gateway;
   }
 
   // Touched nodes in P_n order (rule-change role only), then the chain and
@@ -192,7 +185,7 @@ FlowPlan plan_central(const PlanInputs& in) {
   std::vector<net::NodeId> pending;
   for (std::size_t i = 0; i + 1 < in.new_path.size(); ++i) {
     const net::NodeId n = in.new_path[i];
-    if (succ_on(in.believed_old, n) != in.new_path[i + 1]) {
+    if (net::next_hop(in.believed_old, n) != in.new_path[i + 1]) {
       pending.push_back(n);
     }
   }
@@ -226,7 +219,7 @@ FlowPlan plan_central(const PlanInputs& in) {
       indices.push_back(index_of[n]);
       TouchedNode t;
       t.node = n;
-      t.new_next = succ_on(in.new_path, n);
+      t.new_next = net::next_hop(in.new_path, n);
       t.d_from = control::distance_on_path(from_of(in), n);
       plan.touched.push_back(std::move(t));
       updated.push_back(n);

@@ -81,7 +81,7 @@ TEST(RecoveryTest, RetriggerIsBoundedUnderPermanentBlackout) {
                               env.topo.new_path);
   env.bed->run(sim::seconds(1100));  // past the blackout-end event
   EXPECT_FALSE(env.bed->flow_db().duration(env.flow.id, 2).has_value());
-  EXPECT_LE(env.bed->p4update().retriggers_sent(), 5u);  // max_retriggers
+  EXPECT_LE(env.bed->p4update().retriggers_sent(), 5u);  // kMaxRetriggers
   EXPECT_TRUE(env.bed->simulator().idle()) << "recovery must terminate";
   EXPECT_EQ(env.bed->monitor().violations().total(), 0u);
 }

@@ -1,8 +1,9 @@
 // Property: the failure domain beyond §5 — a probabilistic control-message
 // coin plus a scheduled mid-update link outage — never wedges an update.
-// With controller recovery on, every flow's latest update reaches a
-// terminal UpdateOutcome, the monitor stays loop- and blackhole-free, and
-// the chaos campaign's merged output is byte-identical whatever --jobs.
+// With controller recovery on, every system settles every flow's latest
+// update and every request at a terminal outcome, P4Update's monitor stays
+// loop- and blackhole-free, and the chaos campaign's merged output is
+// byte-identical whatever --jobs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -19,12 +20,19 @@
 namespace p4u::harness {
 namespace {
 
+constexpr SystemKind kSystems[] = {SystemKind::kP4Update,
+                                   SystemKind::kEzSegway,
+                                   SystemKind::kCentral};
+
+// Case p runs seed p % 10 on system p / 10: cases 0-9 are P4Update's.
 class ChaosTerminationProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaosTerminationProperty, DropsPlusLinkDownAlwaysSettleTerminally) {
-  const int seed = GetParam();
+  const int seed = GetParam() % 10;
+  const SystemKind system = kSystems[GetParam() / 10];
   net::NamedTopology topo = net::fig1_topology();
   TestBedParams params;
+  params.system = system;
   params.seed = static_cast<std::uint64_t>(seed);
   params.fault_plan.model.control_drop_prob = 0.05;
   // One mid-update outage on an interior hop of the new path: issued at
@@ -47,19 +55,23 @@ TEST_P(ChaosTerminationProperty, DropsPlusLinkDownAlwaysSettleTerminally) {
   bed.run(sim::seconds(120));
 
   // Liveness: the update settled — Completed, RolledBack, or Abandoned,
-  // never a forever-pending record.
+  // never a forever-pending record — and so did the request behind it.
   EXPECT_TRUE(bed.flow_db().all_terminal());
+  EXPECT_TRUE(bed.flow_db().all_requests_terminal());
   const auto& hist = bed.flow_db().history(f.id);
   ASSERT_FALSE(hist.empty());
   EXPECT_NE(hist.back().outcome, control::UpdateOutcome::kPending);
-  // Safety: faults may excuse broken walks, never loops or blackholes.
-  EXPECT_EQ(bed.monitor().violations().loops, 0u);
-  EXPECT_EQ(bed.monitor().violations().blackholes, 0u);
   EXPECT_TRUE(bed.simulator().idle());
+  // Safety: faults may excuse broken walks, never loops or blackholes. Only
+  // P4Update verifies before installing; the baselines' violations are data.
+  if (system == SystemKind::kP4Update) {
+    EXPECT_EQ(bed.monitor().violations().loops, 0u);
+    EXPECT_EQ(bed.monitor().violations().blackholes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTerminationProperty,
-                         ::testing::Range(0, 10));
+                         ::testing::Range(0, 30));
 
 RunSpec chaos_spec() {
   net::NamedTopology topo = net::fig1_topology();
