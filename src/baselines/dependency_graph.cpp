@@ -4,6 +4,8 @@
 #include <functional>
 #include <set>
 
+#include "sim/small_vec.hpp"
+
 namespace p4u::baseline {
 
 namespace {
@@ -177,8 +179,13 @@ bool central_safe_to_update(const net::Path& old_path,
                             const net::Path& new_path, net::NodeId node,
                             const std::vector<net::NodeId>& updated,
                             const std::vector<net::NodeId>& candidates) {
-  const std::set<net::NodeId> done(updated.begin(), updated.end());
-  const std::set<net::NodeId> maybe(candidates.begin(), candidates.end());
+  // Linear scans: the node lists are path-sized (at most 5 nodes on a
+  // fat-tree(8)), and Central calls this for every pending node of every
+  // job in every round.
+  const auto contains = [](const std::vector<net::NodeId>& nodes,
+                           net::NodeId n) {
+    return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
+  };
   const net::NodeId egress = new_path.back();
 
   const net::NodeId target = net::next_hop(new_path, node);
@@ -186,27 +193,30 @@ bool central_safe_to_update(const net::Path& old_path,
   // Blackhole check: the new next hop must already hold forwarding state —
   // its old rule (on the old path / egress) or an acknowledged new rule.
   const bool target_has_rule =
-      target == egress || done.count(target) != 0 ||
+      target == egress || contains(updated, target) ||
       net::next_hop(old_path, target) != net::kNoNode;
   if (!target_has_rule) return false;
 
   // Loop check over the uncertainty multigraph: updated nodes follow their
   // new rule; pending nodes may still follow their old rule; candidates of
-  // this round (and `node` itself) may follow either.
-  std::set<net::NodeId> visited;
-  std::vector<net::NodeId> stack{target};
+  // this round (and `node` itself) may follow either. The walk visits path
+  // nodes only, so both buffers stay inline for path-sized inputs.
+  sim::SmallVec<net::NodeId, 16> visited;
+  sim::SmallVec<net::NodeId, 16> stack{target};
   while (!stack.empty()) {
     const net::NodeId cur = stack.back();
     stack.pop_back();
     if (cur == node) return false;  // can walk back: potential loop
-    if (cur == egress || !visited.insert(cur).second) continue;
+    if (cur == egress ||
+        std::find(visited.begin(), visited.end(), cur) != visited.end()) {
+      continue;
+    }
+    visited.push_back(cur);
     const net::NodeId old_succ = net::next_hop(old_path, cur);
     const net::NodeId new_succ = net::next_hop(new_path, cur);
-    const bool is_done = done.count(cur) != 0;
-    const bool is_maybe = maybe.count(cur) != 0 || cur == node;
-    if (is_done) {
+    if (contains(updated, cur)) {
       if (new_succ != net::kNoNode) stack.push_back(new_succ);
-    } else if (is_maybe) {
+    } else if (contains(candidates, cur) || cur == node) {
       if (new_succ != net::kNoNode) stack.push_back(new_succ);
       if (old_succ != net::kNoNode) stack.push_back(old_succ);
     } else {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "p4rt/switch_device.hpp"
@@ -98,29 +97,33 @@ p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
                                                   const net::Path& new_path) {
   // Wall-clock preparation cost: the Fig. 8 quantity (the only real-time
   // measurement in the simulation), recorded unless the run needs a fully
-  // deterministic registry. Prepared against the version next_version will
-  // hand out, which is only consumed once the preflight (if any) passes.
-  const auto t0 = PrepClock::now();
+  // deterministic registry; the clock is read only then. Prepared against
+  // the version next_version will hand out, which is only consumed once the
+  // preflight (if any) passes.
+  const bool timed = params_.measure_prep_wallclock;
+  const auto t0 = timed ? PrepClock::now() : PrepClock::time_point{};
   Prepared prepared = prepare(flow, new_path, nib_.view(flow).version + 1);
-  if (params_.measure_prep_wallclock) {
+  if (timed) {
     const auto t1 = PrepClock::now();
-    channel_.metrics()
-        .histogram("ctrl.prep_ms", {})
-        .observe(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    obs::resolve_once(prep_ms_, [this] {
+      return channel_.metrics().histogram("ctrl.prep_ms");
+    }).observe(std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   if (params_.static_preflight) {
-    // Rebuild the plan the verifier's way but pin the already-decided
-    // update type, so the lattice matches the UIMs about to go out.
-    verify::PlanInputs in;
-    in.flow = flow;
-    in.believed_old = nib_.view(flow).believed_path;
-    in.new_path = new_path;
-    const verify::Verdict verdict = verify::verify_plan(
-        verify::plan_p4update(in, params_.sl_node_budget, prepared.type));
-    const char* counter = verdict.safe()     ? "ctrl.preflight_safe"
-                          : verdict.unsafe() ? "ctrl.preflight_unsafe"
-                                             : "ctrl.preflight_unknown";
-    channel_.metrics().counter(counter, {}).inc();
+    // Plan from the segmentation and update type prepare() decided, so the
+    // lattice matches the UIMs about to go out.
+    verify::fill_p4update_plan(preflight_plan_, flow,
+                               nib_.view(flow).believed_path, new_path,
+                               prepared.segmentation, prepared.type);
+    const verify::Verdict verdict =
+        verify::verify_plan(preflight_plan_, preflight_ws_);
+    if (verdict.safe()) {
+      ctrl_counter(preflight_safe_, "ctrl.preflight_safe").inc();
+    } else if (verdict.unsafe()) {
+      ctrl_counter(preflight_unsafe_, "ctrl.preflight_unsafe").inc();
+    } else {
+      ctrl_counter(preflight_unknown_, "ctrl.preflight_unknown").inc();
+    }
     if (params_.enforce_preflight && verdict.unsafe()) {
       return 0;  // belief (and version counter) untouched: nothing was sent
     }
@@ -144,7 +147,7 @@ p4rt::Version P4UpdateController::schedule_tree_update(
   if (params_.static_preflight) {
     // The NIB stores only the believed root for tree flows, so there is no
     // believed old tree to build a lattice against; counted, not verified.
-    channel_.metrics().counter("ctrl.preflight_skipped", {}).inc();
+    ctrl_counter(preflight_skipped_, "ctrl.preflight_skipped").inc();
   }
   const p4rt::Version version = nib_.next_version(flow);
   const control::FlowView& view = nib_.view(flow);
@@ -200,13 +203,13 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
       // The record's duration is final once completed, whatever the settle
       // handlers issued meanwhile.
       if (const auto rtt = flow_db_.duration(ufm.flow, ufm.version)) {
-        channel_.metrics()
-            .histogram("ctrl.update_rtt_ms", {})
-            .observe(sim::to_ms(*rtt));
+        obs::resolve_once(update_rtt_ms_, [this] {
+          return channel_.metrics().histogram("ctrl.update_rtt_ms");
+        }).observe(sim::to_ms(*rtt));
       }
     } else {
       flow_db_.on_alarm(ufm.flow, ufm.version);
-      channel_.metrics().counter("ctrl.alarms_received", {}).inc();
+      ctrl_counter(alarms_received_, "ctrl.alarms_received").inc();
       if (on_alarm) on_alarm(ufm.flow, ufm.version, ufm.alarm);
       // §11 failure recovery: a kMalformed alarm means a switch gave up
       // waiting (lost UIM or UNM). If this version is still the one we
@@ -219,7 +222,7 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
             nib_.view(ufm.flow).version == ufm.version &&
             retriggers_[key] < kMaxRetriggers) {
           ++retriggers_[key];
-          channel_.metrics().counter("ctrl.retriggers", {}).inc();
+          ctrl_counter(retriggers_counter_, "ctrl.retriggers").inc();
           resend(ufm.flow, ufm.version);
         }
       }

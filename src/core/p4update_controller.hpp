@@ -22,6 +22,8 @@
 #include "faults/recovery.hpp"
 #include "p4rt/control_channel.hpp"
 #include "p4rt/fabric.hpp"
+#include "verify/lattice.hpp"
+#include "verify/plan.hpp"
 
 namespace p4u::core {
 
@@ -140,6 +142,18 @@ class P4UpdateController final : public faults::RecoveringController {
   std::map<std::pair<net::FlowId, p4rt::Version>, int> retriggers_;
   // Tree updates complete when every leaf reported (default expectation: 1).
   std::map<std::pair<net::FlowId, p4rt::Version>, int> expected_ufms_;
+  // The static preflight's plan and lattice scratch, reused by every update.
+  verify::FlowPlan preflight_plan_;
+  verify::LatticeWorkspace preflight_ws_;
+  // Per-event metric handles, resolved on first use (obs::resolve_once).
+  obs::Counter preflight_safe_;
+  obs::Counter preflight_unsafe_;
+  obs::Counter preflight_unknown_;
+  obs::Counter preflight_skipped_;
+  obs::Counter alarms_received_;
+  obs::Counter retriggers_counter_;
+  obs::Histogram prep_ms_;
+  obs::Histogram update_rtt_ms_;
 
  public:
   /// Number of §11 re-triggers performed (tests/benches).

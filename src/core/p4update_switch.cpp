@@ -24,14 +24,6 @@ const char* alarm_code_name(AlarmCode code) {
   return "?";
 }
 
-void count_verify(SwitchDevice& sw, const char* outcome) {
-  sw.fabric()
-      .metrics()
-      .counter("p4update.verify", {{"switch", std::to_string(sw.id())},
-                                   {"outcome", outcome}})
-      .inc();
-}
-
 }  // namespace
 
 P4UpdateSwitch::P4UpdateSwitch(net::NodeId id, const net::Graph& graph,
@@ -128,14 +120,25 @@ void P4UpdateSwitch::handle(SwitchDevice& sw, Packet pkt,
   // Other control messages (baseline headers) are not ours; ignore.
 }
 
+void P4UpdateSwitch::count_verify(SwitchDevice& sw, VerifyOutcome outcome) {
+  obs::resolve_once(verify_[static_cast<std::size_t>(outcome)], [&] {
+    const char* name = outcome == VerifyOutcome::kAccept  ? "accept"
+                       : outcome == VerifyOutcome::kDefer ? "defer"
+                                                          : "reject";
+    return sw.fabric().metrics().counter(
+        "p4update.verify",
+        {{"switch", std::to_string(sw.id())}, {"outcome", name}});
+  }).inc();
+}
+
 void P4UpdateSwitch::alarm(SwitchDevice& sw, FlowId f, Version v,
                            AlarmCode code) {
   ++rejects_;
-  sw.fabric()
-      .metrics()
-      .counter("p4update.alarms", {{"switch", std::to_string(id_)},
-                                   {"code", alarm_code_name(code)}})
-      .inc();
+  obs::resolve_once(alarms_[static_cast<std::size_t>(code)], [&] {
+    return sw.fabric().metrics().counter(
+        "p4update.alarms",
+        {{"switch", std::to_string(id_)}, {"code", alarm_code_name(code)}});
+  }).inc();
   sw.fabric().trace().add({sw.now(), TraceKind::kControllerAlarm, id_, f,
                            static_cast<std::int64_t>(code), v, ""});
   p4rt::UfmHeader ufm;
@@ -170,9 +173,10 @@ void P4UpdateSwitch::arm_watchdog(SwitchDevice& sw,
   const FlowId flow = uim.flow;
   const Version version = uim.version;
   const bool is_ingress = uim.child_port < 0;
-  fabric->metrics()
-      .counter("p4update.watchdog_armed", {{"switch", std::to_string(node)}})
-      .inc();
+  obs::resolve_once(watchdog_armed_, [&] {
+    return fabric->metrics().counter("p4update.watchdog_armed",
+                                     {{"switch", std::to_string(node)}});
+  }).inc();
   sw.simulator().schedule_in(
       params_.uim_watchdog,
       [this, fabric, node, flow, version, gen, is_ingress]() {
@@ -189,10 +193,10 @@ void P4UpdateSwitch::arm_watchdog(SwitchDevice& sw,
             uib_.applied(flow).new_version < version ||
             (is_ingress && !completion_reported(flow, version));
         if (!stalled) return;
-        fabric->metrics()
-            .counter("p4update.watchdog_fired",
-                     {{"switch", std::to_string(node)}})
-            .inc();
+        obs::resolve_once(watchdog_fired_, [&] {
+          return fabric->metrics().counter(
+              "p4update.watchdog_fired", {{"switch", std::to_string(node)}});
+        }).inc();
         alarm(fabric->sw(node), flow, version, AlarmCode::kMalformed);
       });
 }
@@ -287,7 +291,7 @@ void P4UpdateSwitch::apply_egress(SwitchDevice& sw,
   next.last_type = uim.type;
   next.ever_dual = uim.type == UpdateType::kDualLayer;
   uib_.write_applied(uim.flow, next);
-  count_verify(sw, "accept");
+  count_verify(sw, VerifyOutcome::kAccept);
   sw.fabric().trace().add({sw.now(), TraceKind::kVerifyAccepted, id_, uim.flow,
                            uim.version, 0, "egress direct apply"});
   const FlowId f = uim.flow;
@@ -343,7 +347,7 @@ void P4UpdateSwitch::park(SwitchDevice& sw, Packet pkt, std::int32_t in_port,
     return;
   }
   ++resubmissions_;
-  count_verify(sw, "defer");
+  count_verify(sw, VerifyOutcome::kDefer);
   sw.fabric().trace().add({sw.now(), TraceKind::kVerifyDeferred, id_,
                            unm.flow, unm.new_version, 0, why});
   sw.resubmit(std::move(pkt), in_port);
@@ -388,10 +392,10 @@ void P4UpdateSwitch::after_state_change(SwitchDevice& sw,
     Version& reported_v = completed_version_.row(h, idx.generation(h));
     if (reported_v >= uim.version) return;  // already reported
     reported_v = uim.version;
-    sw.fabric()
-        .metrics()
-        .counter("p4update.update_completed", {{"switch", std::to_string(id_)}})
-        .inc();
+    obs::resolve_once(update_completed_, [&] {
+      return sw.fabric().metrics().counter(
+          "p4update.update_completed", {{"switch", std::to_string(id_)}});
+    }).inc();
     sw.fabric().trace().add({sw.now(), TraceKind::kUpdateCompleted, id_,
                              uim.flow, uim.version, 0, ""});
     p4rt::UfmHeader ufm;
@@ -476,13 +480,13 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
         park(sw, std::move(pkt), in_port, "wait-for-uim");
         return;
       case SlOutcome::kDropOutdated:
-        count_verify(sw, "reject");
+        count_verify(sw, VerifyOutcome::kReject);
         trace.add({sw.now(), TraceKind::kVerifyRejected, id_, f,
                    unm.new_version, st.new_version, "sl outdated"});
         alarm(sw, f, unm.new_version, AlarmCode::kOutdatedVersion);
         return;
       case SlOutcome::kDropDistance:
-        count_verify(sw, "reject");
+        count_verify(sw, VerifyOutcome::kReject);
         trace.add({sw.now(), TraceKind::kVerifyRejected, id_, f,
                    unm.new_distance, uim->new_distance, "sl distance"});
         alarm(sw, f, unm.new_version, AlarmCode::kDistanceMismatch);
@@ -501,7 +505,7 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
                          uim->egress_port_updated)) {
       return;
     }
-    count_verify(sw, "accept");
+    count_verify(sw, VerifyOutcome::kAccept);
     trace.add({sw.now(), TraceKind::kVerifyAccepted, id_, f, unm.new_version,
                unm.new_distance, "sl accept"});
     apply_sl(sw, *uim, unm);
@@ -519,13 +523,13 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
       park(sw, std::move(pkt), in_port, "wait-for-uim");
       return;
     case DlOutcome::kDropOutdated:
-      count_verify(sw, "reject");
+      count_verify(sw, VerifyOutcome::kReject);
       trace.add({sw.now(), TraceKind::kVerifyRejected, id_, f,
                  unm.new_version, st.new_version, "dl outdated"});
       alarm(sw, f, unm.new_version, AlarmCode::kOutdatedVersion);
       return;
     case DlOutcome::kDropDistance:
-      count_verify(sw, "reject");
+      count_verify(sw, VerifyOutcome::kReject);
       trace.add({sw.now(), TraceKind::kVerifyRejected, id_, f,
                  unm.new_distance, uim->new_distance, "dl distance"});
       alarm(sw, f, unm.new_version, AlarmCode::kDistanceMismatch);
@@ -534,7 +538,7 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
       // Normal dependency resolution: a later proposal with a smaller
       // segment id will arrive once downstream segments merged.
       ++rejects_;
-      count_verify(sw, "reject");
+      count_verify(sw, VerifyOutcome::kReject);
       trace.add({sw.now(), TraceKind::kVerifyRejected, id_, f,
                  unm.old_distance, st.new_distance, "dl gateway-reject"});
       return;
@@ -555,7 +559,7 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
                            uim->egress_port_updated)) {
         return;
       }
-      count_verify(sw, "accept");
+      count_verify(sw, VerifyOutcome::kAccept);
       trace.add({sw.now(), TraceKind::kVerifyAccepted, id_, f,
                  unm.new_version, unm.old_distance,
                  outcome == DlOutcome::kInnerUpdate ? "dl inner"
@@ -581,7 +585,7 @@ void P4UpdateSwitch::handle_unm(SwitchDevice& sw, Packet pkt,
       return;
     }
     case DlOutcome::kInherit: {
-      count_verify(sw, "accept");
+      count_verify(sw, VerifyOutcome::kAccept);
       trace.add({sw.now(), TraceKind::kVerifyAccepted, id_, f,
                  unm.new_version, unm.old_distance, "dl inherit"});
       uib_.write_applied(f, dl_apply(outcome, st, *uim, unm));

@@ -9,6 +9,8 @@
 //   (4) generate UFM (ingress converged, or alarms on rejected updates).
 #pragma once
 
+#include <array>
+
 #include "net/flow_index.hpp"
 
 #include "core/congestion.hpp"
@@ -111,6 +113,10 @@ class P4UpdateSwitch final : public p4rt::Pipeline {
 
   void alarm(p4rt::SwitchDevice& sw, FlowId f, Version v, p4rt::AlarmCode code);
 
+  /// UNM verdicts, counted as p4update.verify {switch, outcome}.
+  enum class VerifyOutcome : std::uint8_t { kAccept, kDefer, kReject };
+  void count_verify(p4rt::SwitchDevice& sw, VerifyOutcome outcome);
+
   /// (Re-)arms the §11 UIM watchdog for this UIM's flow. Each arm bumps the
   /// flow's generation; a timer whose generation went stale no-ops.
   void arm_watchdog(p4rt::SwitchDevice& sw, const p4rt::UimHeader& uim);
@@ -146,6 +152,17 @@ class P4UpdateSwitch final : public p4rt::Pipeline {
   std::uint64_t unms_sent_ = 0;
   std::uint64_t resubmissions_ = 0;
   std::uint64_t rejects_ = 0;
+  // Per-event metric handles into the fabric's registry, resolved on first
+  // use (obs::resolve_once).
+  std::array<obs::Counter,
+             static_cast<std::size_t>(VerifyOutcome::kReject) + 1>
+      verify_;
+  std::array<obs::Counter,
+             static_cast<std::size_t>(p4rt::AlarmCode::kMalformed) + 1>
+      alarms_;
+  obs::Counter update_completed_;
+  obs::Counter watchdog_armed_;
+  obs::Counter watchdog_fired_;
 };
 
 }  // namespace p4u::core

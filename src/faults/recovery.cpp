@@ -69,6 +69,12 @@ const net::Path* RecoveringController::issued_path(net::FlowId flow,
   return it == issued_paths_.end() ? nullptr : &it->second;
 }
 
+obs::Counter& RecoveringController::ctrl_counter(obs::Counter& handle,
+                                                 const char* name) {
+  return obs::resolve_once(handle,
+                           [&] { return channel_.metrics().counter(name); });
+}
+
 void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
   flow_db_.on_completed(flow, v, channel_.now());
   if (const net::Path* path = issued_path(flow, v)) {
@@ -122,7 +128,7 @@ void RecoveringController::on_retry_timer(net::FlowId flow,
   }
   ++rs.attempts;
   rs.gen = ++retry_gen_;  // the re-armed timer below owns the entry now
-  channel_.metrics().counter("ctrl.recovery_resends", {}).inc();
+  ctrl_counter(resends_, "ctrl.recovery_resends").inc();
   resend(flow, v);
   arm_retry_timer(flow);
 }
@@ -131,10 +137,10 @@ void RecoveringController::give_up(net::FlowId flow, p4rt::Version v,
                                    control::UpdateOutcome outcome) {
   cancel_inflight(flow, v, /*superseded=*/false);
   flow_db_.on_gave_up(flow, v, outcome, channel_.now());
-  channel_.metrics()
-      .counter("ctrl.recovery_gaveup",
-               {{"outcome", control::to_string(outcome)}})
-      .inc();
+  obs::resolve_once(gaveup_[static_cast<std::size_t>(outcome)], [&] {
+    return channel_.metrics().counter(
+        "ctrl.recovery_gaveup", {{"outcome", control::to_string(outcome)}});
+  }).inc();
   untrack(flow);
   if (on_settled) on_settled(flow, v, outcome, channel_.now());
 }
@@ -200,7 +206,7 @@ void RecoveringController::repair_around(
       // Supersedes the doomed version (its record leaves the terminality
       // denominator; the repair's own timer takes over liveness).
       if (doomed != 0) cancel_inflight(flow, doomed, /*superseded=*/true);
-      channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
+      ctrl_counter(repairs_, "ctrl.recovery_repairs").inc();
       schedule_update(flow, *repair);
     } else if (doomed != 0) {
       // Disconnected by the faults: the in-flight update settles abandoned
@@ -209,7 +215,7 @@ void RecoveringController::repair_around(
       abandoned.push_back(flow);
     } else {
       // An idle flow keeps its (dead) config until an element returns.
-      channel_.metrics().counter("ctrl.recovery_stranded", {}).inc();
+      ctrl_counter(stranded_, "ctrl.recovery_stranded").inc();
     }
   }
   pump_next(abandoned);
@@ -230,7 +236,7 @@ void RecoveringController::reissue_after_recovery(
       // First choice: the update we actually wanted, if it is viable now.
       const net::Path* wanted = issued_path(flow, hist.back().version);
       if (wanted != nullptr && health_.path_ok(g, *wanted)) {
-        channel_.metrics().counter("ctrl.recovery_reissues", {}).inc();
+        ctrl_counter(reissues_, "ctrl.recovery_reissues").inc();
         schedule_update(flow, *wanted);
         continue;
       }
@@ -239,7 +245,7 @@ void RecoveringController::reissue_after_recovery(
         const auto repair =
             health_.repair_path(g, view.flow.ingress, view.flow.egress);
         if (repair) {
-          channel_.metrics().counter("ctrl.recovery_repairs", {}).inc();
+          ctrl_counter(repairs_, "ctrl.recovery_repairs").inc();
           schedule_update(flow, *repair);
           continue;
         }
@@ -247,7 +253,7 @@ void RecoveringController::reissue_after_recovery(
     }
     if (restarted &&
         HealthView::path_uses_node(view.believed_path, *restarted)) {
-      channel_.metrics().counter("ctrl.recovery_redeploys", {}).inc();
+      ctrl_counter(redeploys_, "ctrl.recovery_redeploys").inc();
       redeploy(flow, *restarted);
     }
   }

@@ -17,6 +17,7 @@
 // fault-free benches must not pay for timers they never need.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -168,6 +169,9 @@ class RecoveringController : public p4rt::ControllerApp {
   /// The path (flow, v) was issued for; nullptr when none was.
   [[nodiscard]] const net::Path* issued_path(net::FlowId flow,
                                              p4rt::Version v) const;
+  /// `handle`, resolved on first use to the run's unlabeled counter `name`
+  /// (obs::resolve_once): per-event code keeps one handle per counter.
+  obs::Counter& ctrl_counter(obs::Counter& handle, const char* name);
 
   p4rt::ControlChannel& channel_;
   control::Nib nib_;
@@ -201,6 +205,14 @@ class RecoveringController : public p4rt::ControllerApp {
   std::map<net::FlowId, RetryState> retry_;
   std::uint64_t retry_gen_ = 0;
   std::map<std::pair<net::FlowId, p4rt::Version>, net::Path> issued_paths_;
+  obs::Counter resends_;
+  obs::Counter repairs_;
+  obs::Counter stranded_;
+  obs::Counter reissues_;
+  obs::Counter redeploys_;
+  std::array<obs::Counter,
+             static_cast<std::size_t>(control::UpdateOutcome::kAbandoned) + 1>
+      gaveup_;
 };
 
 }  // namespace p4u::faults

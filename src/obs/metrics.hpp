@@ -101,6 +101,18 @@ class Histogram {
   HistogramData* data_ = nullptr;
 };
 
+/// Returns `handle`, resolving it with `resolve()` on first use. Per-event
+/// code holds its handles and resolves each one here, where a name lookup
+/// would first create the cell: the registry ends up with exactly the
+/// cells (and report bytes) that looking the name up on every event
+/// creates, and every later update is one pointer chase. Resolving eagerly
+/// instead would add zero-valued cells to reports.
+template <typename Handle, typename Resolve>
+Handle& resolve_once(Handle& handle, Resolve&& resolve) {
+  if (!handle.resolved()) handle = std::forward<Resolve>(resolve)();
+  return handle;
+}
+
 /// Default latency buckets (milliseconds): 100 us .. 100 s, log-spaced.
 const std::vector<double>& latency_buckets_ms();
 

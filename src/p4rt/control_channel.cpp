@@ -57,8 +57,16 @@ sim::Time ControlChannel::reserve_service_slot(sim::Duration service) {
 
 obs::MetricsRegistry& ControlChannel::metrics() { return fabric_.metrics(); }
 
+obs::Counter& ControlChannel::msg_counter(KindCounters& family,
+                                          const char* name,
+                                          const Packet& pkt) {
+  return obs::resolve_once(family[pkt.kind_index()], [&] {
+    return metrics().counter(name, {{"msg", message_kind(pkt)}});
+  });
+}
+
 void ControlChannel::send_to_switch(NodeId sw, Packet pkt) {
-  metrics().counter("ctrl.msgs_out", {{"msg", message_kind(pkt)}}).inc();
+  msg_counter(msgs_out_, "ctrl.msgs_out", pkt).inc();
   // The single controller thread serializes outbound messages, then each
   // one independently travels the control link to its switch.
   const sim::Time departure = reserve_service_slot(send_service_);
@@ -75,7 +83,7 @@ void ControlChannel::send_to_switch(NodeId sw, Packet pkt) {
 }
 
 void ControlChannel::deliver_to_controller(NodeId from, Packet pkt) {
-  metrics().counter("ctrl.msgs_in", {{"msg", message_kind(pkt)}}).inc();
+  msg_counter(msgs_in_, "ctrl.msgs_in", pkt).inc();
   const sim::Time arrival = sim_.now() + latency(from);
   auto on_arrival = [this, from, pkt = std::move(pkt)]() mutable {
     // Queue for the controller's single service thread.

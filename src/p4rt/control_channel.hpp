@@ -10,16 +10,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "p4rt/fabric_observer.hpp"
 #include "p4rt/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
-
-namespace p4u::obs {
-class MetricsRegistry;
-}
 
 namespace p4u::p4rt {
 
@@ -108,6 +106,12 @@ class ControlChannel : private FabricObserver {
  private:
   sim::Time reserve_service_slot(sim::Duration service);
 
+  /// One ctrl.msgs_out / ctrl.msgs_in handle per message kind, resolved on
+  /// first use.
+  using KindCounters = std::array<obs::Counter, kPacketKindCount>;
+  obs::Counter& msg_counter(KindCounters& family, const char* name,
+                            const Packet& pkt);
+
   // Failure detection (FabricObserver): a fault near switch s becomes known
   // to the controller after the control latency to the closest adjacent
   // switch (BFD-style adjacency monitoring), then queues for the single
@@ -124,6 +128,8 @@ class ControlChannel : private FabricObserver {
   sim::Time busy_until_ = 0;
   ControllerApp* app_ = nullptr;
   std::uint64_t handled_ = 0;
+  KindCounters msgs_out_;
+  KindCounters msgs_in_;
   ObserverHandle fault_watch_;
 };
 

@@ -110,9 +110,10 @@ void Fabric::notify_switch_state(NodeId node, bool up) {
 }
 
 void Fabric::apply_fault(const faults::FaultEvent& e) {
-  metrics_
-      .counter("fabric.fault_events", {{"kind", faults::to_string(e.kind)}})
-      .inc();
+  obs::resolve_once(fault_events_[static_cast<std::size_t>(e.kind)], [&] {
+    return metrics_.counter("fabric.fault_events",
+                            {{"kind", faults::to_string(e.kind)}});
+  }).inc();
   switch (e.kind) {
     case faults::FaultKind::kLinkDown:
     case faults::FaultKind::kLinkUp: {
@@ -154,12 +155,9 @@ void Fabric::apply_fault(const faults::FaultEvent& e) {
 obs::Counter& Fabric::msg_counter(std::vector<KindCounters>& family,
                                   const char* name, NodeId node,
                                   const Packet& pkt) {
-  obs::Counter& c =
-      family[static_cast<std::size_t>(node)].by_kind[pkt.kind_index()];
-  if (!c.resolved()) {
-    c = metrics_.counter(name, switch_msg_labels(node, pkt));
-  }
-  return c;
+  return obs::resolve_once(
+      family[static_cast<std::size_t>(node)].by_kind[pkt.kind_index()],
+      [&] { return metrics_.counter(name, switch_msg_labels(node, pkt)); });
 }
 
 void Fabric::transmit(NodeId from, std::int32_t out_port, Packet pkt) {
@@ -178,10 +176,9 @@ void Fabric::transmit(NodeId from, std::int32_t out_port, Packet pkt) {
   // failing segment before it went down.)
   if (link_up_.at(static_cast<std::size_t>(link)) == 0) {
     msg_counter(drop_counters_, "fabric.drop", from, pkt).inc();
-    if (!link_down_drops_.resolved()) {
-      link_down_drops_ = metrics_.counter("fabric.link_down_drop");
-    }
-    link_down_drops_.inc();
+    obs::resolve_once(link_down_drops_, [this] {
+      return metrics_.counter("fabric.link_down_drop");
+    }).inc();
     trace_.add_lazy([&] {
       return sim::TraceEntry{sim_.now(),       sim::TraceKind::kMessageDropped,
                              from,             pkt.flow(),
@@ -254,10 +251,9 @@ void Fabric::deliver_from_link(NodeId from, NodeId to, std::int32_t in_port,
   // attributed to the transmitting hop like every other drop.
   if (sw(to).crashed()) {
     msg_counter(drop_counters_, "fabric.drop", from, pkt).inc();
-    if (!crash_drops_.resolved()) {
-      crash_drops_ = metrics_.counter("fabric.crash_drop");
-    }
-    crash_drops_.inc();
+    obs::resolve_once(crash_drops_, [this] {
+      return metrics_.counter("fabric.crash_drop");
+    }).inc();
     trace_.add_lazy([&] {
       return sim::TraceEntry{sim_.now(),
                              sim::TraceKind::kMessageDropped,

@@ -102,11 +102,9 @@ class Fabric {
  private:
   friend class ObserverHandle;
 
-  /// Lazily resolved per-(switch, message-kind) counter handles for one
-  /// metric family. Resolution is deferred to first use so the set of
-  /// registry cells (and hence report contents) matches uncached behavior
-  /// exactly; afterwards the hot path pays one array index per packet
-  /// instead of a LabelSet allocation plus map lookup.
+  /// Per-(switch, message-kind) counter handles for one metric family,
+  /// resolved on first use (obs::resolve_once): the hot path pays one array
+  /// index per packet instead of a LabelSet allocation plus map lookup.
   struct KindCounters {
     std::array<obs::Counter, kPacketKindCount> by_kind;
   };
@@ -145,6 +143,10 @@ class Fabric {
   std::vector<KindCounters> reorder_counters_;
   obs::Counter link_down_drops_;
   obs::Counter crash_drops_;
+  // fabric.fault_events by FaultKind.
+  std::array<obs::Counter,
+             static_cast<std::size_t>(faults::FaultKind::kSetModel) + 1>
+      fault_events_;
   obs::Histogram hop_latency_control_;
   obs::Histogram hop_latency_data_;
 };

@@ -32,52 +32,45 @@ SwitchDevice::SwitchDevice(Fabric& fabric, NodeId id, SwitchParams params,
       id_label_(std::to_string(id)) {}
 
 obs::Gauge& SwitchDevice::queue_depth_gauge() {
-  if (!queue_depth_gauge_.resolved()) {
-    queue_depth_gauge_ = fabric_.metrics().gauge(
-        "switch.queue_depth", {{"switch", id_label_}});
-  }
-  return queue_depth_gauge_;
+  return obs::resolve_once(queue_depth_gauge_, [this] {
+    return fabric_.metrics().gauge("switch.queue_depth",
+                                   {{"switch", id_label_}});
+  });
 }
 
 obs::Histogram& SwitchDevice::service_histogram() {
-  if (!service_hist_.resolved()) {
-    service_hist_ = fabric_.metrics().histogram(
-        "switch.service_ms", {{"switch", id_label_}});
-  }
-  return service_hist_;
+  return obs::resolve_once(service_hist_, [this] {
+    return fabric_.metrics().histogram("switch.service_ms",
+                                       {{"switch", id_label_}});
+  });
 }
 
 obs::Counter& SwitchDevice::handled_counter(const Packet& pkt) {
-  obs::Counter& c = handled_[pkt.kind_index()];
-  if (!c.resolved()) {
-    c = fabric_.metrics().counter(
+  return obs::resolve_once(handled_[pkt.kind_index()], [&] {
+    return fabric_.metrics().counter(
         "switch.handled", {{"switch", id_label_}, {"msg", message_kind(pkt)}});
-  }
-  return c;
+  });
 }
 
 obs::Counter& SwitchDevice::rule_installs_counter() {
-  if (!rule_installs_.resolved()) {
-    rule_installs_ = fabric_.metrics().counter("switch.rule_installs",
-                                               {{"switch", id_label_}});
-  }
-  return rule_installs_;
+  return obs::resolve_once(rule_installs_, [this] {
+    return fabric_.metrics().counter("switch.rule_installs",
+                                     {{"switch", id_label_}});
+  });
 }
 
 obs::Counter& SwitchDevice::crash_dropped_counter() {
-  if (!crash_dropped_.resolved()) {
-    crash_dropped_ = fabric_.metrics().counter(
-        "switch.crash_dropped", {{"switch", id_label_}});
-  }
-  return crash_dropped_;
+  return obs::resolve_once(crash_dropped_, [this] {
+    return fabric_.metrics().counter("switch.crash_dropped",
+                                     {{"switch", id_label_}});
+  });
 }
 
 obs::Counter& SwitchDevice::installs_rejected_counter() {
-  if (!installs_rejected_.resolved()) {
-    installs_rejected_ = fabric_.metrics().counter(
-        "switch.installs_rejected", {{"switch", id_label_}});
-  }
-  return installs_rejected_;
+  return obs::resolve_once(installs_rejected_, [this] {
+    return fabric_.metrics().counter("switch.installs_rejected",
+                                     {{"switch", id_label_}});
+  });
 }
 
 void SwitchDevice::receive(Packet pkt, std::int32_t in_port) {
@@ -231,46 +224,48 @@ sim::Duration SwitchDevice::sample_install_delay() {
   return d;
 }
 
-void SwitchDevice::install_rule(FlowId flow, std::int32_t port,
-                                std::function<void()> on_active, bool quick) {
+std::optional<sim::Time> SwitchDevice::accept_install(FlowId flow,
+                                                      bool quick) {
   if (crashed_) {
     // The Thrift endpoint is down: the write is lost, not queued. The
     // on_active continuation never runs — timeout-based recovery upstream
     // is what notices.
     installs_rejected_counter().inc();
-    return;
+    return std::nullopt;
   }
   const sim::Duration delay =
       quick ? params_.register_write_delay : sample_install_delay();
   sim::Time done = now() + delay;
-  {
-    RuleEntry& e = entry(flow);
-    if (e.tail != kNoTail) done = std::max(done, e.tail + 1);
-    e.tail = done;
-    ++e.pending;
+  RuleEntry& e = entry(flow);
+  if (e.tail != kNoTail) done = std::max(done, e.tail + 1);
+  e.tail = done;
+  ++e.pending;
+  return done;
+}
+
+sim::EventTag SwitchDevice::install_tag(FlowId flow) const {
+  return switch_tag(id_, sim::EventClass::kInstall, flow);
+}
+
+bool SwitchDevice::retire_install(std::uint64_t epoch, FlowId flow,
+                                  std::int32_t port) {
+  if (epoch != epoch_) {
+    // Accepted before the crash, wiped with everything else.
+    installs_rejected_counter().inc();
+    return false;
   }
-  simulator().schedule_at(done,
-                          switch_tag(id_, sim::EventClass::kInstall, flow),
-                          [this, epoch = epoch_, flow, port,
-                           on_active = std::move(on_active)]() {
-    if (epoch != epoch_) {
-      // Accepted before the crash, wiped with everything else.
-      installs_rejected_counter().inc();
-      return;
-    }
-    {
-      // The pending count held the handle since issue, so `flow` is live.
-      RuleEntry& e = entries_[index_.find(flow)];
-      set_port(e, port);
-      --e.pending;
-    }
-    ++installs_completed_;
-    rule_installs_counter().inc();
-    fabric_.trace().add(
-        {now(), sim::TraceKind::kRuleInstalled, id_, flow, port, 0, ""});
-    fabric_.notify_rule_installed(id_, flow, port);
-    if (on_active) on_active();
-  });
+  {
+    // The pending count held the handle since issue, so `flow` is live.
+    RuleEntry& e = entries_[index_.find(flow)];
+    set_port(e, port);
+    --e.pending;
+  }
+  ++installs_completed_;
+  rule_installs_counter().inc();
+  fabric_.trace().add(
+      {now(), sim::TraceKind::kRuleInstalled, id_, flow, port, 0, ""});
+  fabric_.notify_rule_installed(id_, flow, port);
+  return true;
 }
 
 void SwitchDevice::set_rule_now(FlowId flow, std::int32_t port) {

@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -120,12 +119,30 @@ class SwitchDevice {
   [[nodiscard]] std::optional<std::int32_t> lookup(FlowId flow) const;
 
   /// Installs a rule after install_delay (+ straggler). `on_active` runs
-  /// once the rule is in effect; pipelines chain UNM forwarding on it.
-  /// With `quick` set the write costs only register_write_delay (no
-  /// straggler) — used when the forwarding port does not actually change.
-  /// Either way, writes retire in per-flow issue order.
-  void install_rule(FlowId flow, std::int32_t port,
-                    std::function<void()> on_active = {}, bool quick = false);
+  /// once the rule is in effect; pipelines chain UNM forwarding on it. It
+  /// is stored inside the install event's own handler, so its capture must
+  /// fit the event slot next to the install's own fields (a larger one is a
+  /// compile error in sim::InlineFn). With `quick` set the write costs only
+  /// register_write_delay (no straggler) — used when the forwarding port
+  /// does not actually change. Either way, writes retire in per-flow issue
+  /// order. A crashed switch drops the write and never runs `on_active`.
+  template <typename OnActive>
+  void install_rule(FlowId flow, std::int32_t port, OnActive&& on_active,
+                    bool quick = false) {
+    const std::optional<sim::Time> done = accept_install(flow, quick);
+    if (!done) return;
+    simulator().schedule_at(
+        *done, install_tag(flow),
+        [this, epoch = epoch_, flow, port,
+         on_active = std::forward<OnActive>(on_active)]() mutable {
+          if (retire_install(epoch, flow, port)) on_active();
+        });
+  }
+
+  /// install_rule without a continuation.
+  void install_rule(FlowId flow, std::int32_t port) {
+    install_rule(flow, port, [] {});
+  }
 
   /// Writes a rule instantly (initial configuration bring-up, not timed).
   void set_rule_now(FlowId flow, std::int32_t port);
@@ -171,8 +188,18 @@ class SwitchDevice {
   void forward_data(DataHeader data, std::int32_t in_port);
   [[nodiscard]] sim::Duration sample_install_delay();
 
-  // Lazily resolved metric handles (resolved on first use so the set of
-  // registry cells — and hence report bytes — matches uncached behavior).
+  // The two halves of install_rule around its scheduled completion.
+  /// Books the install into the flow's tail and returns its completion
+  /// time; nullopt (and the write counted as rejected) on a crashed switch.
+  [[nodiscard]] std::optional<sim::Time> accept_install(FlowId flow,
+                                                        bool quick);
+  /// Applies the install at its completion and reports whether the
+  /// continuation runs: false when a crash since acceptance wiped it.
+  [[nodiscard]] bool retire_install(std::uint64_t epoch, FlowId flow,
+                                    std::int32_t port);
+  [[nodiscard]] sim::EventTag install_tag(FlowId flow) const;
+
+  // Metric handles, resolved on first use (obs::resolve_once).
   obs::Gauge& queue_depth_gauge();
   obs::Histogram& service_histogram();
   obs::Counter& handled_counter(const Packet& pkt);

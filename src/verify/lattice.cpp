@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 namespace p4u::verify {
 
@@ -90,76 +89,6 @@ bool may_apply(const FlowPlan& plan, Mask m, std::int32_t i) {
   return false;
 }
 
-struct WalkOutcome {
-  enum Kind { kClean, kLoop, kBlackhole } kind = kClean;
-  std::vector<net::NodeId> trace;
-  net::NodeId offender = net::kNoNode;
-};
-
-/// Walks the instantaneous forwarding function of state `m` from `source`.
-/// A source holding no rule emits no traffic yet (fresh deploys, new tree
-/// members); a rule-less node *reached* mid-walk is a blackhole.
-WalkOutcome walk_state(const FlowPlan& plan,
-                       const std::map<net::NodeId, std::int32_t>& touched_at,
-                       const std::map<net::NodeId, net::NodeId>& old_next,
-                       Mask m, net::NodeId source) {
-  WalkOutcome out;
-  const std::size_t node_budget = plan.touched.size() + plan.old_rules.size();
-  std::vector<net::NodeId> visited;
-  net::NodeId cur = source;
-  for (std::size_t step = 0; step <= node_budget + 1; ++step) {
-    if (std::find(visited.begin(), visited.end(), cur) != visited.end()) {
-      out.kind = WalkOutcome::kLoop;
-      out.offender = cur;
-      out.trace.push_back(cur);
-      return out;
-    }
-    visited.push_back(cur);
-    out.trace.push_back(cur);
-
-    net::NodeId next = net::kNoNode;
-    bool has_rule = false;
-    const auto t = touched_at.find(cur);
-    if (t != touched_at.end() && applied(m, t->second)) {
-      next = plan.touched[static_cast<std::size_t>(t->second)].new_next;
-      has_rule = true;
-    } else {
-      const auto o = old_next.find(cur);
-      if (o != old_next.end()) {
-        next = o->second;
-        has_rule = true;
-      }
-    }
-    if (!has_rule) {
-      if (cur == source) {
-        out.trace.clear();  // no ingress rule yet: no traffic to misroute
-        return out;
-      }
-      out.kind = WalkOutcome::kBlackhole;
-      out.offender = cur;
-      return out;
-    }
-    if (next == net::kNoNode) return out;  // local delivery
-    cur = next;
-  }
-  // Budget exhausted without revisit/delivery — only possible if the rule
-  // maps name nodes outside the plan; treat as a loop-grade anomaly.
-  out.kind = WalkOutcome::kLoop;
-  out.offender = cur;
-  return out;
-}
-
-std::vector<net::NodeId> applied_nodes(const FlowPlan& plan, Mask m) {
-  std::vector<net::NodeId> nodes;
-  for (std::size_t i = 0; i < plan.touched.size(); ++i) {
-    if (applied(m, static_cast<std::int32_t>(i))) {
-      nodes.push_back(plan.touched[i].node);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
-}
-
 }  // namespace
 
 const char* to_string(VerdictKind k) {
@@ -171,7 +100,180 @@ const char* to_string(VerdictKind k) {
   return "?";
 }
 
-Verdict analyze_lattice(const FlowPlan& plan, const VerifyOptions& opt) {
+void LatticeWorkspace::bind(const FlowPlan& plan) {
+  net::NodeId top = net::kNoNode;
+  for (const TouchedNode& t : plan.touched) top = std::max(top, t.node);
+  for (const auto& rule : plan.old_rules) top = std::max(top, rule.first);
+  if (top >= 0 && nodes_.size() <= static_cast<std::size_t>(top)) {
+    nodes_.resize(static_cast<std::size_t>(top) + 1);
+  }
+  // A duplicated touched node answers with its last index, a duplicated
+  // from-state rule with its first (tests/verify/verifier_golden_test.cpp
+  // pins both). Negative ids are never indexed: they read as rule-less.
+  for (std::size_t i = 0; i < plan.touched.size(); ++i) {
+    const net::NodeId node = plan.touched[i].node;
+    if (node >= 0) {
+      nodes_[static_cast<std::size_t>(node)].touched =
+          static_cast<std::int32_t>(i);
+    }
+  }
+  for (const auto& [node, next] : plan.old_rules) {
+    if (node < 0) continue;
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+    if (slot.has_old) continue;
+    slot.has_old = true;
+    slot.old_next = next;
+  }
+}
+
+void LatticeWorkspace::unbind(const FlowPlan& plan) {
+  for (const TouchedNode& t : plan.touched) {
+    if (t.node >= 0) nodes_[static_cast<std::size_t>(t.node)].touched = -1;
+  }
+  for (const auto& rule : plan.old_rules) {
+    if (rule.first < 0) continue;
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(rule.first)];
+    slot.has_old = false;
+    slot.old_next = net::kNoNode;
+  }
+}
+
+/// Walks the instantaneous forwarding function of state `m` from `source`.
+/// A source holding no rule emits no traffic yet (fresh deploys, new tree
+/// members); a rule-less node *reached* mid-walk is a blackhole. A node id
+/// outside the arrays holds no rule, so it always ends the walk.
+LatticeWorkspace::WalkEnd LatticeWorkspace::walk(const FlowPlan& plan, Mask m,
+                                                 net::NodeId source) {
+  trace_.clear();
+  const std::uint64_t stamp = ++walk_;
+  const std::size_t node_budget = plan.touched.size() + plan.old_rules.size();
+  net::NodeId cur = source;
+  for (std::size_t step = 0; step <= node_budget + 1; ++step) {
+    NodeSlot* slot = cur >= 0 && static_cast<std::size_t>(cur) < nodes_.size()
+                         ? &nodes_[static_cast<std::size_t>(cur)]
+                         : nullptr;
+    if (slot != nullptr && slot->visited == stamp) {
+      trace_.push_back(cur);
+      return {WalkKind::kLoop, cur};
+    }
+    if (slot != nullptr) slot->visited = stamp;
+    trace_.push_back(cur);
+
+    net::NodeId next = net::kNoNode;
+    bool has_rule = false;
+    if (slot != nullptr) {
+      if (slot->touched >= 0 && applied(m, slot->touched)) {
+        next = plan.touched[static_cast<std::size_t>(slot->touched)].new_next;
+        has_rule = true;
+      } else if (slot->has_old) {
+        next = slot->old_next;
+        has_rule = true;
+      }
+    }
+    if (!has_rule) {
+      if (cur == source) {
+        trace_.clear();  // no ingress rule yet: no traffic to misroute
+        return {};
+      }
+      return {WalkKind::kBlackhole, cur};
+    }
+    if (next == net::kNoNode) return {};  // local delivery
+    cur = next;
+  }
+  // Budget exhausted without revisit/delivery — only possible if the rule
+  // maps name nodes outside the plan; treat as a loop-grade anomaly.
+  return {WalkKind::kLoop, cur};
+}
+
+void LatticeWorkspace::applied_nodes(const FlowPlan& plan, Mask m,
+                                     std::vector<net::NodeId>& out) const {
+  out.clear();
+  for (std::size_t i = 0; i < plan.touched.size(); ++i) {
+    if (applied(m, static_cast<std::int32_t>(i))) {
+      out.push_back(plan.touched[i].node);
+    }
+  }
+  std::sort(out.begin(), out.end());
+}
+
+void LatticeWorkspace::offer_unsafe(const FlowPlan& plan, Mask m, WalkEnd end,
+                                    bool first) {
+  applied_nodes(plan, m, applied_);
+  if (!first && !(applied_ < best_applied_)) return;
+  best_applied_.swap(applied_);
+  best_end_ = end;
+  best_trace_ = trace_;
+}
+
+void LatticeWorkspace::enumerate(const FlowPlan& plan,
+                                 const VerifyOptions& opt, Verdict& v) {
+  // The plan's entries leave the arrays on every exit, exceptions included.
+  struct Binding {
+    LatticeWorkspace& ws;
+    const FlowPlan& plan;
+    ~Binding() { ws.unbind(plan); }
+  };
+  bind(plan);
+  const Binding binding{*this, plan};
+
+  const std::size_t n = plan.touched.size();
+  // BFS by cardinality: every reachable state with k applied rules sits in
+  // layer k, so the first unsafe layer holds the minimum witness.
+  layer_.assign(1, 0);
+  while (!layer_.empty()) {
+    bool unsafe = false;
+    for (Mask m : layer_) {
+      ++v.stats.states_enumerated;
+      for (net::NodeId source : plan.sources) {
+        ++v.stats.walks;
+        const WalkEnd end = walk(plan, m, source);
+        if (end.kind != WalkKind::kClean) {
+          // Minimal layer reached; tie-break on the sorted applied-node list.
+          offer_unsafe(plan, m, end, !unsafe);
+          unsafe = true;
+          break;
+        }
+      }
+    }
+    if (unsafe) {
+      v.kind = VerdictKind::kUnsafe;
+      Witness w;
+      w.flow = plan.flow;
+      w.loop = best_end_.kind == WalkKind::kLoop;
+      w.applied = best_applied_;
+      w.walk = best_trace_;
+      w.offender = best_end_.offender;
+      v.witness = std::move(w);
+      v.stats.states_pruned = v.stats.lattice_size - v.stats.states_enumerated;
+      return;
+    }
+    if (v.stats.states_enumerated > opt.max_states) {
+      v.kind = VerdictKind::kUnknown;
+      v.reason = "state budget exceeded";
+      v.stats.states_pruned =
+          v.stats.lattice_size - v.stats.states_enumerated;
+      return;
+    }
+
+    next_.clear();
+    for (Mask m : layer_) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto idx = static_cast<std::int32_t>(i);
+        if (applied(m, idx) || !may_apply(plan, m, idx)) continue;
+        next_.push_back(m | (1ull << i));
+      }
+    }
+    std::sort(next_.begin(), next_.end());
+    next_.erase(std::unique(next_.begin(), next_.end()), next_.end());
+    layer_.swap(next_);
+  }
+
+  v.kind = VerdictKind::kSafe;
+  v.stats.states_pruned = v.stats.lattice_size - v.stats.states_enumerated;
+}
+
+Verdict analyze_lattice(const FlowPlan& plan, LatticeWorkspace& ws,
+                        const VerifyOptions& opt) {
   Verdict v;
   const std::size_t n = plan.touched.size();
   v.stats.touched = n;
@@ -181,80 +283,13 @@ Verdict analyze_lattice(const FlowPlan& plan, const VerifyOptions& opt) {
     return v;
   }
   v.stats.lattice_size = 1ull << n;
-
-  std::map<net::NodeId, std::int32_t> touched_at;
-  for (std::size_t i = 0; i < n; ++i) {
-    touched_at[plan.touched[i].node] = static_cast<std::int32_t>(i);
-  }
-  std::map<net::NodeId, net::NodeId> old_next(plan.old_rules.begin(),
-                                              plan.old_rules.end());
-
-  // BFS by cardinality: every reachable state with k applied rules sits in
-  // layer k, so the first unsafe layer holds the minimum witness.
-  struct Unsafe {
-    Mask mask;
-    WalkOutcome outcome;
-  };
-  std::vector<Mask> layer{0};
-  while (!layer.empty()) {
-    std::vector<Unsafe> bad;
-    for (Mask m : layer) {
-      ++v.stats.states_enumerated;
-      for (net::NodeId source : plan.sources) {
-        ++v.stats.walks;
-        WalkOutcome w = walk_state(plan, touched_at, old_next, m, source);
-        if (w.kind != WalkOutcome::kClean) {
-          bad.push_back({m, std::move(w)});
-          break;
-        }
-      }
-    }
-    if (!bad.empty()) {
-      // Minimal layer reached; tie-break on the sorted applied-node list.
-      const Unsafe* best = &bad.front();
-      std::vector<net::NodeId> best_nodes = applied_nodes(plan, best->mask);
-      for (const Unsafe& u : bad) {
-        std::vector<net::NodeId> nodes = applied_nodes(plan, u.mask);
-        if (nodes < best_nodes) {
-          best = &u;
-          best_nodes = std::move(nodes);
-        }
-      }
-      v.kind = VerdictKind::kUnsafe;
-      Witness w;
-      w.flow = plan.flow;
-      w.loop = best->outcome.kind == WalkOutcome::kLoop;
-      w.applied = applied_nodes(plan, best->mask);
-      w.walk = best->outcome.trace;
-      w.offender = best->outcome.offender;
-      v.witness = std::move(w);
-      v.stats.states_pruned = v.stats.lattice_size - v.stats.states_enumerated;
-      return v;
-    }
-    if (v.stats.states_enumerated > opt.max_states) {
-      v.kind = VerdictKind::kUnknown;
-      v.reason = "state budget exceeded";
-      v.stats.states_pruned =
-          v.stats.lattice_size - v.stats.states_enumerated;
-      return v;
-    }
-
-    std::vector<Mask> next;
-    for (Mask m : layer) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::int32_t>(i);
-        if (applied(m, idx) || !may_apply(plan, m, idx)) continue;
-        next.push_back(m | (1ull << i));
-      }
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    layer = std::move(next);
-  }
-
-  v.kind = VerdictKind::kSafe;
-  v.stats.states_pruned = v.stats.lattice_size - v.stats.states_enumerated;
+  ws.enumerate(plan, opt, v);
   return v;
+}
+
+Verdict analyze_lattice(const FlowPlan& plan, const VerifyOptions& opt) {
+  LatticeWorkspace ws;
+  return analyze_lattice(plan, ws, opt);
 }
 
 }  // namespace p4u::verify

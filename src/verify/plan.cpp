@@ -36,6 +36,30 @@ void require_update_shape(const PlanInputs& in, const char* who) {
   }
 }
 
+void require_p4update_path(const net::Path& new_path) {
+  if (new_path.size() < 2) {
+    throw std::invalid_argument("plan_p4update: new path needs >= 2 nodes");
+  }
+}
+
+/// What P4Update decides before it plans an update: the segmentation of
+/// (believed_old, new_path) and the §7.5 SL/DL type (or `force_type`).
+struct P4UpdateDecision {
+  control::Segmentation segmentation;
+  p4rt::UpdateType type = p4rt::UpdateType::kSingleLayer;
+};
+
+P4UpdateDecision p4update_decision(const PlanInputs& in,
+                                   std::size_t sl_node_budget,
+                                   std::optional<p4rt::UpdateType> force_type) {
+  P4UpdateDecision d;
+  d.segmentation = control::segment_paths(in.believed_old, in.new_path);
+  d.type = force_type ? *force_type
+                      : control::choose_update_type(d.segmentation,
+                                                    sl_node_budget);
+  return d;
+}
+
 }  // namespace
 
 const char* to_string(Discipline d) {
@@ -51,38 +75,45 @@ const char* to_string(Discipline d) {
 
 FlowPlan plan_p4update(const PlanInputs& in, std::size_t sl_node_budget,
                        std::optional<p4rt::UpdateType> force_type) {
+  require_p4update_path(in.new_path);
   FlowPlan plan;
-  plan.flow = in.flow;
-  plan.sources = {in.new_path.empty() ? net::kNoNode : in.new_path.front()};
-  plan.egress = in.new_path.empty() ? net::kNoNode : in.new_path.back();
-  if (in.new_path.size() < 2) {
-    throw std::invalid_argument("plan_p4update: new path needs >= 2 nodes");
+  // Fresh deploy: no believed old path, and so no segmentation either.
+  if (in.believed_old.size() < 2) {
+    fill_p4update_plan(plan, in.flow, in.believed_old, in.new_path, {},
+                       p4rt::UpdateType::kSingleLayer);
+    return plan;
   }
+  const P4UpdateDecision d = p4update_decision(in, sl_node_budget, force_type);
+  fill_p4update_plan(plan, in.flow, from_of(in), in.new_path, d.segmentation,
+                     d.type);
+  return plan;
+}
 
-  // Fresh deploy: no believed old path, rules install egress-first along
-  // the UNM chain and carry no traffic until the ingress lands — an SL
-  // chain over an empty from-state.
-  const bool fresh = in.believed_old.size() < 2;
-  p4rt::UpdateType type = p4rt::UpdateType::kSingleLayer;
-  control::Segmentation seg;
-  if (!fresh) {
-    seg = control::segment_paths(in.believed_old, in.new_path);
-    type = force_type ? *force_type
-                      : control::choose_update_type(seg, sl_node_budget);
-    fill_old_rules(plan, from_of(in));
-  }
+void fill_p4update_plan(FlowPlan& plan, net::FlowId flow,
+                        const net::Path& from, const net::Path& new_path,
+                        const control::Segmentation& segmentation,
+                        p4rt::UpdateType type) {
+  require_p4update_path(new_path);
+  const bool fresh = from.size() < 2;
+  plan.flow = flow;
+  plan.sources.assign(1, new_path.front());
+  plan.egress = new_path.back();
+  plan.old_rules.clear();
+  plan.rounds.clear();
+  if (!fresh) fill_old_rules(plan, from);
 
-  const net::Path& from = fresh ? in.new_path : from_of(in);
   // Every P_n node gets a UIM; the egress rule is local delivery.
-  const auto n = in.new_path.size();
+  const auto n = new_path.size();
   plan.touched.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     TouchedNode& t = plan.touched[i];
-    t.node = in.new_path[i];
-    t.new_next = i + 1 < n ? in.new_path[i + 1] : net::kNoNode;
-    if (!fresh) {
-      t.d_from = control::distance_on_path(from, t.node);
-    }
+    std::vector<std::int32_t> prereqs = std::move(t.prereqs);  // keep storage
+    prereqs.clear();
+    t = TouchedNode{};
+    t.prereqs = std::move(prereqs);
+    t.node = new_path[i];
+    t.new_next = i + 1 < n ? new_path[i + 1] : net::kNoNode;
+    if (!fresh) t.d_from = control::distance_on_path(from, t.node);
   }
 
   if (fresh || type == p4rt::UpdateType::kSingleLayer) {
@@ -92,7 +123,7 @@ FlowPlan plan_p4update(const PlanInputs& in, std::size_t sl_node_budget,
     for (std::size_t i = 0; i + 1 < n; ++i) {
       plan.touched[i].prereqs.push_back(static_cast<std::int32_t>(i + 1));
     }
-    return plan;
+    return;
   }
 
   plan.discipline = Discipline::kVerifiedDual;
@@ -100,14 +131,13 @@ FlowPlan plan_p4update(const PlanInputs& in, std::size_t sl_node_budget,
     plan.touched[i].dl_succ =
         i + 1 < n ? static_cast<std::int32_t>(i + 1) : -1;
   }
-  for (const control::Segment& s : seg.segments) {
+  for (const control::Segment& s : segmentation.segments) {
     for (std::size_t i = 0; i < n; ++i) {
       if (plan.touched[i].node == s.egress_gateway) {
         plan.touched[i].seg_egress = true;
       }
     }
   }
-  return plan;
 }
 
 FlowPlan plan_ezsegway(const PlanInputs& in) {

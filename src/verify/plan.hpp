@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "control/dest_tree.hpp"
+#include "control/segmentation.hpp"
 #include "net/flow.hpp"
 #include "net/paths.hpp"
 #include "p4rt/packet.hpp"
@@ -94,10 +95,22 @@ struct PlanInputs {
 
 /// Mirrors P4UpdateController::prepare: segmentation of (believed_old,
 /// new_path), §7.5 SL/DL choice (or `force_type`), one new rule per P_n
-/// node. Distances in the guards come from `actual_from`.
+/// node. Distances in the guards come from `actual_from`. The plan itself
+/// is written by fill_p4update_plan.
 FlowPlan plan_p4update(
     const PlanInputs& in, std::size_t sl_node_budget = 5,
     std::optional<p4rt::UpdateType> force_type = std::nullopt);
+
+/// Writes the P4Update plan moving `flow` from the data plane's from-state
+/// `from` onto `new_path` into `plan`, reusing its storage, under the
+/// already decided segmentation and update type. A from-state of fewer
+/// than 2 nodes is a fresh deploy: rules install egress-first along the UNM
+/// chain over an empty from-state (an SL chain whatever `type` says).
+/// Throws std::invalid_argument when `new_path` has fewer than 2 nodes.
+void fill_p4update_plan(FlowPlan& plan, net::FlowId flow,
+                        const net::Path& from, const net::Path& new_path,
+                        const control::Segmentation& segmentation,
+                        p4rt::UpdateType type);
 
 /// Mirrors EzSegwayController::prepare: non-trivial segments, bottom-up
 /// intra-segment chains, in_loop segments awaiting every non-trivial

@@ -36,9 +36,11 @@ int severity(VerdictKind k) {
 
 }  // namespace
 
-Verdict verify_plan(const FlowPlan& plan, const VerifyOptions& opt) {
+Verdict verify_plan(const FlowPlan& plan, LatticeWorkspace& ws,
+                    const VerifyOptions& opt) {
   const auto n = static_cast<std::int32_t>(plan.touched.size());
-  std::vector<net::NodeId> seen;
+  std::vector<net::NodeId>& seen = ws.seen_;
+  seen.clear();
   for (const TouchedNode& t : plan.touched) {
     if (t.node == net::kNoNode) {
       return refuse(plan, "touched entry without a node");
@@ -64,15 +66,21 @@ Verdict verify_plan(const FlowPlan& plan, const VerifyOptions& opt) {
   for (net::NodeId s : plan.sources) {
     if (s == net::kNoNode) return refuse(plan, "invalid traffic source");
   }
-  return analyze_lattice(plan, opt);
+  return analyze_lattice(plan, ws, opt);
+}
+
+Verdict verify_plan(const FlowPlan& plan, const VerifyOptions& opt) {
+  LatticeWorkspace ws;
+  return verify_plan(plan, ws, opt);
 }
 
 BatchResult verify_batch(const std::vector<FlowPlan>& plans,
                          const VerifyOptions& opt) {
   BatchResult out;
   out.overall.kind = VerdictKind::kSafe;
+  LatticeWorkspace ws;
   for (const FlowPlan& plan : plans) {
-    Verdict v = verify_plan(plan, opt);
+    Verdict v = verify_plan(plan, ws, opt);
     out.overall.stats.touched += v.stats.touched;
     out.overall.stats.lattice_size += v.stats.lattice_size;
     out.overall.stats.states_enumerated += v.stats.states_enumerated;

@@ -20,6 +20,12 @@
 
 namespace p4u::verify {
 
+/// Checks `plan` and analyzes its lattice in `ws`, which the caller owns
+/// and may reuse for any later plan (the controller's preflight keeps one).
+Verdict verify_plan(const FlowPlan& plan, LatticeWorkspace& ws,
+                    const VerifyOptions& opt = {});
+
+/// verify_plan in a workspace of its own.
 Verdict verify_plan(const FlowPlan& plan, const VerifyOptions& opt = {});
 
 struct BatchResult {
@@ -27,6 +33,7 @@ struct BatchResult {
   std::vector<std::pair<net::FlowId, Verdict>> per_flow;
 };
 
+/// Verifies every plan in one shared workspace.
 BatchResult verify_batch(const std::vector<FlowPlan>& plans,
                          const VerifyOptions& opt = {});
 

@@ -20,10 +20,12 @@ checker bans them:
                   and platform hash seeds; iterate a sorted view instead,
                   or annotate why the order cannot escape.
   inlinefn-capture  default-by-reference lambda captures ([&] / [&, ...])
-                  passed to schedule_at/schedule_in in campaign-critical
-                  code. A deferred event body runs long after the enclosing
-                  scope returned; a blanket &-capture silently keeps
-                  references to locals that may be dead by fire time.
+                  passed to schedule_at/schedule_in or as an install_rule
+                  continuation in campaign-critical code. A deferred event
+                  body (an install continuation runs inside the install's
+                  completion event) runs long after the enclosing scope
+                  returned; a blanket &-capture silently keeps references
+                  to locals that may be dead by fire time.
                   Capture what the event needs explicitly (by value, or by
                   reference to objects that provably outlive the queue).
   thread-containment  raw threading primitives (std::thread/jthread, the
@@ -99,7 +101,7 @@ SUPPRESS_RE = re.compile(
 UNORDERED_DECL_RE = re.compile(r"std\s*::\s*unordered_(?:map|set)\s*<")
 FOR_RE = re.compile(r"\bfor\s*\(")
 BEGIN_CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?r?begin\s*\(")
-SCHEDULE_CALL_RE = re.compile(r"\bschedule_(?:at|in)\s*\(")
+SCHEDULE_CALL_RE = re.compile(r"\b(?:schedule_(?:at|in)|install_rule)\s*\(")
 # A lambda introducer whose first capture is a bare '&': [&] or [&, ...].
 DEFAULT_REF_CAPTURE_RE = re.compile(r"\[\s*&\s*[,\]]")
 # Raw threading vocabulary. atomic\w* covers atomic<T>, atomic_flag,
@@ -254,7 +256,8 @@ def balanced_paren_span(text: str, open_idx: int) -> int:
 
 def inlinefn_findings(rel: str, clean_lines: list[str]) -> list[Finding]:
     """Default-by-reference lambda captures passed directly to
-    schedule_at/schedule_in. The call's argument span is parsed with
+    schedule_at/schedule_in or install_rule (whose continuation runs as the
+    install's completion event). The call's argument span is parsed with
     balanced parentheses, so multi-line lambdas are covered. Only captures
     at the call's own argument depth are flagged: a [&] inside a nested
     call (or inside the event body itself) runs synchronously within its

@@ -158,6 +158,17 @@ class InlineFnCaptureTest(unittest.TestCase):
         self.assertEqual(len(got), 1)
         self.assertEqual(got[0].line, 3)
 
+    def test_install_continuation_flagged(self):
+        got = self._findings("sw.install_rule(f, p, [&] { ack(); });\n")
+        self.assertEqual(len(got), 1)
+        self.assertIn("'install_rule' event body", got[0].message)
+
+    def test_install_explicit_capture_clean(self):
+        got = self._findings(
+            "sw.install_rule(f, p, [this, &sw, cmd] { ack(sw, cmd); });\n"
+        )
+        self.assertEqual(got, [])
+
     def test_named_reference_capture_clean(self):
         got = self._findings(
             "sim.schedule_at(10, [&bed, flow]() { bed.run(flow); });\n"
@@ -292,12 +303,13 @@ class FixtureTest(unittest.TestCase):
         # wall_clock: 4, raw_rand: 3, env_read: 2, unordered_iter: 3 (two
         # range-fors + one .begin() walk), bad_suppressions: 3,
         # mc_unordered_merge: 3 (one hash-order range-for + two
-        # steady_clock reads), inlinefn_capture: 3 (same-line [&],
-        # [&, extra], multi-line call head), thread_raw: 5 (mutex, condvar,
-        # atomic, thread, this_thread; the lock_guard<std::mutex> line adds
-        # nothing — template-argument position).
+        # steady_clock reads), inlinefn_capture: 4 (same-line [&],
+        # [&, extra], multi-line call head, install_rule continuation),
+        # thread_raw: 5 (mutex, condvar, atomic, thread, this_thread; the
+        # lock_guard<std::mutex> line adds nothing — template-argument
+        # position).
         banned = [l for l in r.stdout.splitlines() if "[banned]" in l]
-        self.assertEqual(len(banned), 26, r.stdout)
+        self.assertEqual(len(banned), 27, r.stdout)
 
     def test_expect_allowed_mismatch_fails(self):
         r = run_detlint(

@@ -1,7 +1,8 @@
 // Fixture: default-by-reference lambda captures handed to the event queue.
-// All three forms — same-line [&], [&, extra] with explicit extras, and a
-// multi-line call head — must be flagged; the deferred body outlives the
-// scope whose locals the blanket capture references.
+// All four forms — same-line [&], [&, extra] with explicit extras, a
+// multi-line call head, and an install_rule continuation (it runs as the
+// install's completion event) — must be flagged; the deferred body outlives
+// the scope whose locals the blanket capture references.
 namespace fixture {
 
 struct Sim {
@@ -9,6 +10,11 @@ struct Sim {
   void schedule_at(long at, F&& f);
   template <typename F>
   void schedule_in(long delay, F&& f);
+};
+
+struct Switch {
+  template <typename F>
+  void install_rule(unsigned long flow, int port, F&& on_active);
 };
 
 void deferred_blanket_capture(Sim& sim) {
@@ -26,6 +32,11 @@ void deferred_multiline_call(Sim& sim) {
   sim.schedule_at(
       20,
       [&] { acc += 1.0; });
+}
+
+void deferred_install_continuation(Switch& sw) {
+  int acks = 0;
+  sw.install_rule(7, 2, [&] { ++acks; });
 }
 
 }  // namespace fixture
