@@ -10,8 +10,10 @@
 //
 //   - updates/sec: settled requests per *virtual* second (deterministic
 //     controller throughput, no wall clock in any report);
-//   - completion tails: p50/p99/p999 of submit -> settle latency from the
-//     per-run P2 estimators (churn.latency_* in the campaign report);
+//   - completion tails: p50/p99/p999 of submit -> completion latency over
+//     every completed reroute, pooled across the seeded runs (adds and
+//     removes settle at submit and are left out), printed with their n
+//     and as n/a where n < 10 / (1 - p);
 //   - queue behaviour: admission queue/in-flight peaks, coalesced and
 //     refused request counts;
 //   - per-system counters: P4Update preflight verdicts and recovery
@@ -19,13 +21,10 @@
 //
 // Gates: every request terminal in every run (liveness), zero
 // loop/blackhole violations on the P4Update rows, and the --jobs 1 vs
-// --jobs N campaign reports byte-identical.
-#include <algorithm>
+// --jobs N campaign reports byte-identical (not run with one worker).
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -106,29 +105,8 @@ RunSpec spec_for(const ChurnRow& row, SystemKind kind, const ChurnTable& t,
   return spec;
 }
 
-/// Byte-compares two files; false when either cannot be read.
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::stringstream sa;
-  std::stringstream sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  return sa.str() == sb.str();
-}
-
-/// Mean of one histogram family's observations (0 when absent) — the
-/// per-run scalars (tails, peaks) land one observation per seeded run.
-double hist_mean(const obs::MetricsRegistry& m, const std::string& name) {
-  for (const auto& row : m.histograms()) {
-    if (row.name == name && row.value != nullptr && row.value->count > 0) {
-      return row.value->sum / static_cast<double>(row.value->count);
-    }
-  }
-  return 0.0;
-}
-
+/// Largest observation of one histogram family (0 when absent): the
+/// per-run queue peaks land one observation per seeded run.
 double hist_max(const obs::MetricsRegistry& m, const std::string& name) {
   for (const auto& row : m.histograms()) {
     if (row.name == name && row.value != nullptr && row.value->count > 0) {
@@ -153,6 +131,15 @@ std::uint64_t requests_in_state(const obs::MetricsRegistry& m,
 
 bool is_p4update_spec(const SpecResult& sr) {
   return sr.slug.find(".P4Update.") != std::string::npos;
+}
+
+/// The p-th percentile of the pooled latencies as "%.4f", or `na` when
+/// the pool is too small to support it.
+std::string tail(const sim::Samples& s, double p, const char* na) {
+  if (!s.supports(p)) return na;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.4f", s.percentile(p));
+  return buf;
 }
 
 }  // namespace
@@ -187,29 +174,13 @@ int main(int argc, char** argv) {
               table.arrivals_per_sec, sim::to_ms(table.duration) / 1000.0,
               campaign.specs().front().runs);
 
-  // The determinism gate: the same campaign merged from 1 worker and from
-  // N workers must produce byte-identical reports.
-  const int n_jobs = cli.jobs > 0 ? cli.jobs : 4;
-  const std::vector<SpecResult> serial = campaign.run(1);
-  const std::vector<SpecResult> parallel = campaign.run(n_jobs);
-
-  std::string report_root = cli.out_dir;
-  if (report_root.empty()) {
-    report_root = (std::filesystem::temp_directory_path() /
-                   "p4u_churn_reports").string();
-  }
   const std::vector<std::pair<std::string, std::string>> meta = {
       {"campaign", "churn"},
       {"topology", "fat-tree(8)"},
       {"arrivals_per_sec", std::to_string(table.arrivals_per_sec)}};
-  const std::string rep1 = harness::write_campaign_report(
-      report_root + "/jobs1", "churn", meta, serial);
-  const std::string repN = harness::write_campaign_report(
-      report_root + "/jobs" + std::to_string(n_jobs), "churn", meta,
-      parallel);
-  const bool identical = files_identical(rep1, repN);
-  std::printf("reports: %s vs %s -> %s\n", rep1.c_str(), repN.c_str(),
-              identical ? "byte-identical" : "DIFFERENT");
+  const harness::JobsGate gate =
+      harness::run_jobs_gate(campaign, cli.jobs, cli.out_dir, "churn", meta);
+  const std::vector<SpecResult>& serial = gate.results;
 
   // Per-spec verdicts + the BENCH_churn.json trajectory artifact.
   bool all_terminal = true;
@@ -224,8 +195,7 @@ int main(int argc, char** argv) {
                  cli.smoke ? "smoke" : "full");
     std::fprintf(f, "  \"topology\": \"fat-tree(8)\",\n");
     std::fprintf(f, "  \"arrivals_per_sec\": %.1f,\n", table.arrivals_per_sec);
-    std::fprintf(f, "  \"jobs_reports_identical\": %s,\n",
-                 identical ? "true" : "false");
+    std::fprintf(f, "  \"jobs_reports_identical\": %s,\n", gate.json());
     std::fprintf(f, "  \"specs\": [\n");
   }
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -241,24 +211,25 @@ int main(int argc, char** argv) {
     const double ups = r.update_times_ms.count() > 0
                            ? r.update_times_ms.mean()
                            : 0.0;
+    const sim::Samples& lat = r.reroute_latency_ms;
     std::printf(
-        "%-42s %8.1f req/s  p50 %7.2f ms  p99 %7.2f ms  p999 %7.2f ms  "
+        "%-42s %8.1f req/s  n %6zu  p50 %s  p99 %s  p999 %s ms  "
         "peak q=%.0f/i=%.0f  coalesced %llu  %s\n",
-        sr.slug.c_str(), ups, hist_mean(m, "churn.latency_p50_ms"),
-        hist_mean(m, "churn.latency_p99_ms"),
-        hist_mean(m, "churn.latency_p999_ms"),
+        sr.slug.c_str(), ups, lat.count(), tail(lat, 50.0, "n/a").c_str(),
+        tail(lat, 99.0, "n/a").c_str(), tail(lat, 99.9, "n/a").c_str(),
         hist_max(m, "churn.queue_peak"), hist_max(m, "churn.inflight_peak"),
         static_cast<unsigned long long>(m.counter_total("churn.coalesced")),
         terminal ? "all-terminal" : "INCOMPLETE");
     if (f != nullptr) {
       std::fprintf(f, "    {\"slug\": \"%s\",\n", sr.slug.c_str());
       std::fprintf(f, "     \"updates_per_sec_mean\": %.3f,\n", ups);
-      std::fprintf(f, "     \"latency_p50_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p50_ms"));
-      std::fprintf(f, "     \"latency_p99_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p99_ms"));
-      std::fprintf(f, "     \"latency_p999_ms\": %.4f,\n",
-                   hist_mean(m, "churn.latency_p999_ms"));
+      std::fprintf(f, "     \"latency_n\": %zu,\n", lat.count());
+      std::fprintf(f, "     \"latency_p50_ms\": %s,\n",
+                   tail(lat, 50.0, "null").c_str());
+      std::fprintf(f, "     \"latency_p99_ms\": %s,\n",
+                   tail(lat, 99.0, "null").c_str());
+      std::fprintf(f, "     \"latency_p999_ms\": %s,\n",
+                   tail(lat, 99.9, "null").c_str());
       std::fprintf(f, "     \"queue_peak\": %.0f,\n",
                    hist_max(m, "churn.queue_peak"));
       std::fprintf(f, "     \"inflight_peak\": %.0f,\n",
@@ -316,7 +287,6 @@ int main(int argc, char** argv) {
               all_terminal ? "YES" : "NO");
   std::printf("P4Update rows free of loops/blackholes: %s\n",
               p4u_clean ? "YES" : "NO");
-  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n", n_jobs,
-              identical ? "YES" : "NO");
-  return all_terminal && p4u_clean && identical ? 0 : 1;
+  std::printf("%s\n", gate.verdict().c_str());
+  return all_terminal && p4u_clean && gate.passed() ? 0 : 1;
 }

@@ -11,7 +11,8 @@
 //     the flat-storage footprint CI pins a ceiling on;
 //   - a byte-identity verdict: the merged campaign report for --jobs 1
 //     must equal the report for --jobs N bit for bit, proving the flat
-//     rebuild kept the spec-then-seed merge deterministic.
+//     rebuild kept the spec-then-seed merge deterministic (not run with
+//     one worker).
 //
 // Wall time and RSS are nondeterministic, so they go ONLY into
 // BENCH_scale.json (a trajectory artifact, like BENCH_hotpath.json) and
@@ -90,18 +91,6 @@ std::size_t peak_rss_bytes() {
   return 0;
 }
 
-/// Byte-compares two files; false when either cannot be read.
-bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa || !fb) return false;
-  std::stringstream sa;
-  std::stringstream sb;
-  sa << fa.rdbuf();
-  sb << fb.rdbuf();
-  return sa.str() == sb.str();
-}
-
 bool spec_clean(const SpecResult& sr) {
   const auto& r = sr.result;
   return r.incomplete_runs == 0 && r.violations.loops == 0 &&
@@ -111,8 +100,8 @@ bool spec_clean(const SpecResult& sr) {
 void write_bench_json(const std::string& out_dir, const ScaleTable& t,
                       bool smoke, double flows_per_sec,
                       std::size_t bytes_per_flow, std::size_t peak_rss,
-                      double run_seconds, bool reports_identical,
-                      const SpecResult& merged) {
+                      double run_seconds, const harness::JobsGate& gate) {
+  const SpecResult& merged = gate.results.front();
   if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
   const std::string path =
       (out_dir.empty() ? std::string{} : out_dir + "/") + "BENCH_scale.json";
@@ -134,8 +123,7 @@ void write_bench_json(const std::string& out_dir, const ScaleTable& t,
                static_cast<unsigned long long>(peak_rss));
   std::fprintf(f, "  \"bytes_per_flow\": %llu,\n",
                static_cast<unsigned long long>(bytes_per_flow));
-  std::fprintf(f, "  \"jobs_reports_identical\": %s,\n",
-               reports_identical ? "true" : "false");
+  std::fprintf(f, "  \"jobs_reports_identical\": %s,\n", gate.json());
   std::fprintf(f, "  \"incomplete_runs\": %llu,\n",
                static_cast<unsigned long long>(merged.result.incomplete_runs));
   std::fprintf(
@@ -182,41 +170,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(bytes_per_flow),
               measured.sample ? "OK" : "INCOMPLETE");
 
-  // The determinism gate: the same campaign merged from 1 worker and from
-  // N workers must produce byte-identical reports. Reports land in
-  // subdirectories (same run_name, same meta) so the comparison is exact.
   harness::Campaign campaign;
   campaign.add(spec);
-  const int n_jobs = cli.jobs > 0 ? cli.jobs : 4;
-  const std::vector<SpecResult> serial = campaign.run(1);
-  const std::vector<SpecResult> parallel = campaign.run(n_jobs);
-
-  std::string report_root = cli.out_dir;
-  if (report_root.empty()) {
-    report_root = (std::filesystem::temp_directory_path() /
-                   "p4u_scale_reports").string();
-  }
-  const std::vector<std::pair<std::string, std::string>> meta = {
-      {"campaign", "scale"},
-      {"topology", "fat-tree(" + std::to_string(table.fattree_k) + ")"},
-      {"resident_flows", std::to_string(table.flows)}};
-  const std::string rep1 = harness::write_campaign_report(
-      report_root + "/jobs1", "scale", meta, serial);
-  const std::string repN = harness::write_campaign_report(
-      report_root + "/jobs" + std::to_string(n_jobs), "scale", meta, parallel);
-  const bool identical = files_identical(rep1, repN);
-  std::printf("reports: %s vs %s -> %s\n", rep1.c_str(), repN.c_str(),
-              identical ? "byte-identical" : "DIFFERENT");
+  const harness::JobsGate gate = harness::run_jobs_gate(
+      campaign, cli.jobs, cli.out_dir, "scale",
+      {{"campaign", "scale"},
+       {"topology", "fat-tree(" + std::to_string(table.fattree_k) + ")"},
+       {"resident_flows", std::to_string(table.flows)}});
 
   write_bench_json(cli.out_dir, table, cli.smoke, flows_per_sec,
-                   bytes_per_flow, peak_rss, dt.count(), identical,
-                   serial.front());
+                   bytes_per_flow, peak_rss, dt.count(), gate);
 
-  const bool clean = spec_clean(serial.front()) && measured.sample.has_value();
+  const bool clean =
+      spec_clean(gate.results.front()) && measured.sample.has_value();
   std::printf("\n---- verdict ----\n");
   std::printf("all updates completed, zero violations: %s\n",
               clean ? "YES" : "NO");
-  std::printf("--jobs 1 and --jobs %d reports byte-identical: %s\n", n_jobs,
-              identical ? "YES" : "NO");
-  return clean && identical ? 0 : 1;
+  std::printf("%s\n", gate.verdict().c_str());
+  return clean && gate.passed() ? 0 : 1;
 }

@@ -1,6 +1,10 @@
 #include "harness/campaign.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -8,7 +12,6 @@
 #include "harness/parallel_runner.hpp"
 #include "obs/run_report.hpp"
 #include "sim/schedule_strategy.hpp"
-#include "sim/streaming_stats.hpp"
 
 namespace p4u::harness {
 
@@ -277,16 +280,17 @@ RunOutcome run_churn_job(const RunSpec& spec, std::uint64_t seed) {
   RunOutcome out;
   const control::FlowDb& db = bed.flow_db();
 
-  // Completion latency (virtual submit -> settle) across every settled
-  // request: fixed-memory P2 tails, however long the stream ran.
-  sim::StreamingStats lat({50.0, 99.0, 99.9});
   std::uint64_t terminal = 0;
   sim::Time last_finish = 0;
   for (const control::RequestRecord& r : db.requests()) {
     if (!control::is_terminal(r.state)) continue;
     ++terminal;
-    lat.add(sim::to_ms(r.finished_at - r.submitted_at));
     last_finish = std::max(last_finish, r.finished_at);
+    if (r.kind == control::RequestKind::kReroute &&
+        r.state == control::RequestState::kCompleted) {
+      out.reroute_latency_ms.push_back(
+          sim::to_ms(r.finished_at - r.submitted_at));
+    }
   }
 
   // Liveness gate + sample: a run only counts when every request reached a
@@ -300,16 +304,10 @@ RunOutcome run_churn_job(const RunSpec& spec, std::uint64_t seed) {
                   static_cast<double>(sim::kSecond));
   }
 
-  // Per-run scalars (tails, queue peaks) become one histogram observation
-  // each: the cross-seed campaign merge then reports count/mean/min/max
-  // (a gauge would keep only the last-merged run's value).
+  // Per-run queue peaks become one histogram observation each: the
+  // cross-seed campaign merge then reports count/mean/min/max (a gauge
+  // would keep only the last-merged run's value).
   obs::MetricsRegistry& m = bed.metrics();
-  if (!lat.empty()) {
-    m.histogram("churn.latency_p50_ms").observe(lat.quantile(50.0));
-    m.histogram("churn.latency_p99_ms").observe(lat.quantile(99.0));
-    m.histogram("churn.latency_p999_ms").observe(lat.quantile(99.9));
-    m.histogram("churn.latency_mean_ms").observe(lat.mean());
-  }
   static const std::vector<double> depth_buckets = {
       0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024};
   control::AdmissionQueue& q = bed.system().admission();
@@ -342,6 +340,17 @@ RunOutcome run_fig4_job(const RunSpec& spec, std::uint64_t seed) {
   out.violations = r.violations;
   out.metrics = std::move(r.metrics);
   return out;
+}
+
+/// Byte-compares two files; false when either cannot be read.
+bool files_identical(const std::string& a, const std::string& b) {
+  std::ifstream fa(a, std::ios::binary);
+  std::ifstream fb(b, std::ios::binary);
+  if (!fa || !fb) return false;
+  return std::equal(std::istreambuf_iterator<char>(fa),
+                    std::istreambuf_iterator<char>(),
+                    std::istreambuf_iterator<char>(fb),
+                    std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -430,6 +439,7 @@ std::vector<SpecResult> Campaign::run(int jobs) const {
       } else {
         ++sr.result.incomplete_runs;
       }
+      sr.result.reroute_latency_ms.add_all(out.reroute_latency_ms);
       sr.result.alarms += out.alarms;
       sr.result.violations.loops += out.violations.loops;
       sr.result.violations.blackholes += out.violations.blackholes;
@@ -456,6 +466,47 @@ std::string write_campaign_report(
     rep.add_samples(sr.slug, sr.result.update_times_ms, sr.sample_unit);
   }
   return rep.write();
+}
+
+std::string JobsGate::verdict() const {
+  if (!ran) return "--jobs 1 vs --jobs N reports: not run (one worker)";
+  return "--jobs 1 and --jobs " + std::to_string(jobs) +
+         " reports byte-identical: " + (identical ? "YES" : "NO");
+}
+
+const char* JobsGate::json() const {
+  if (!ran) return "null";
+  return identical ? "true" : "false";
+}
+
+JobsGate run_jobs_gate(
+    const Campaign& campaign, int jobs, std::string report_root,
+    const std::string& run_name,
+    const std::vector<std::pair<std::string, std::string>>& meta) {
+  if (report_root.empty()) {
+    report_root = (std::filesystem::temp_directory_path() /
+                   ("p4u_" + run_name + "_reports"))
+                      .string();
+  }
+  JobsGate gate;
+  gate.jobs = jobs > 0 ? jobs : 4;
+  gate.results = campaign.run(1);
+  gate.serial_report = write_campaign_report(report_root + "/jobs1",
+                                             run_name, meta, gate.results);
+  if (gate.jobs == 1) {
+    std::printf("report: %s (one worker: --jobs gate not run)\n",
+                gate.serial_report.c_str());
+    return gate;
+  }
+  gate.ran = true;
+  gate.parallel_report = write_campaign_report(
+      report_root + "/jobs" + std::to_string(gate.jobs), run_name, meta,
+      campaign.run(gate.jobs));
+  gate.identical = files_identical(gate.serial_report, gate.parallel_report);
+  std::printf("reports: %s vs %s -> %s\n", gate.serial_report.c_str(),
+              gate.parallel_report.c_str(),
+              gate.identical ? "byte-identical" : "DIFFERENT");
+  return gate;
 }
 
 }  // namespace p4u::harness

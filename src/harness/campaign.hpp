@@ -29,6 +29,10 @@ namespace p4u::harness {
 /// Aggregated outcome of one spec's seeded runs.
 struct ExperimentResult {
   sim::Samples update_times_ms;  // per run: the measured completion time
+  /// kChurn only: every run's completed-reroute latencies, pooled in
+  /// seed order (RunOutcome::reroute_latency_ms). Empty for the other
+  /// families.
+  sim::Samples reroute_latency_ms;
   std::uint64_t alarms = 0;
   InvariantMonitor::Violations violations;
   std::uint64_t incomplete_runs = 0;
@@ -51,7 +55,7 @@ enum class ScenarioFamily {
   kChurn,             // steady-state churn: a Poisson stream of add /
                       // remove / reroute requests through the admission
                       // queue; sample = settled requests per virtual
-                      // second, tails in churn.latency_p{50,99,999}_ms
+                      // second, tails from the pooled reroute_latency_ms
 };
 
 const char* to_string(ScenarioFamily f);
@@ -113,6 +117,11 @@ struct RunSpec {
 /// Outcome of a single seeded run (one expanded job).
 struct RunOutcome {
   std::optional<double> sample;  // absent = the run did not complete
+  /// kChurn only: submit -> completion latency of every reroute the
+  /// ledger completed, in ledger order. Adds and removes settle at submit
+  /// and superseded, rolled-back or abandoned requests never complete, so
+  /// none of them is an update time.
+  std::vector<double> reroute_latency_ms;
   std::uint64_t alarms = 0;
   InvariantMonitor::Violations violations;
   obs::MetricsRegistry metrics;
@@ -156,5 +165,35 @@ std::string write_campaign_report(
     const std::string& out_dir, const std::string& run_name,
     const std::vector<std::pair<std::string, std::string>>& meta,
     const std::vector<SpecResult>& results);
+
+/// Outcome of run_jobs_gate.
+struct JobsGate {
+  std::vector<SpecResult> results;  // the one-worker merge
+  int jobs = 1;                     // worker count of the second run
+  bool ran = false;                 // false: one worker, nothing compared
+  bool identical = false;           // the two reports match byte for byte
+  std::string serial_report;        // <root>/jobs1/<run_name>.jsonl
+  std::string parallel_report;      // <root>/jobs<N>/...; empty if !ran
+
+  [[nodiscard]] bool passed() const { return !ran || identical; }
+  /// The bench's verdict line: "... byte-identical: YES" (or NO), or
+  /// "... not run (one worker)".
+  [[nodiscard]] std::string verdict() const;
+  /// "true", "false" or "null", for a BENCH_*.json artifact.
+  [[nodiscard]] const char* json() const;
+};
+
+/// The --jobs determinism gate of the campaign benches: runs `campaign`
+/// on one worker, writes its report under `<report_root>/jobs1`, and —
+/// when `jobs` asks for more than one worker (<= 0: the default, 4) —
+/// runs it again on `jobs` workers, writes `<report_root>/jobs<N>` and
+/// byte-compares the two reports. With one worker the campaign runs once
+/// (single-threaded, as a profiler wants it) and the gate is "not run",
+/// never a report compared with itself. An empty `report_root` writes
+/// under the system temp directory. Prints one line naming the reports.
+JobsGate run_jobs_gate(
+    const Campaign& campaign, int jobs, std::string report_root,
+    const std::string& run_name,
+    const std::vector<std::pair<std::string, std::string>>& meta);
 
 }  // namespace p4u::harness

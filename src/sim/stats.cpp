@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace p4u::sim {
@@ -56,6 +56,12 @@ double Samples::percentile(double p) const {
   return s[lo] * (1.0 - frac) + s[hi] * frac;
 }
 
+bool Samples::supports(double p) const {
+  const auto bp = static_cast<std::uint64_t>(
+      std::llround(std::clamp(p, 0.0, 100.0) * 100.0));
+  return static_cast<std::uint64_t>(xs_.size()) * (10000 - bp) >= 100000;
+}
+
 double Samples::ci_halfwidth(double z) const {
   if (xs_.size() < 2) return 0.0;
   return z * stddev() / std::sqrt(static_cast<double>(xs_.size()));
@@ -68,28 +74,6 @@ const std::vector<double>& Samples::sorted() const {
     dirty_ = false;
   }
   return sorted_cache_;
-}
-
-std::vector<CdfPoint> empirical_cdf(const Samples& s) {
-  std::vector<CdfPoint> cdf;
-  const std::vector<double>& sorted = s.sorted();
-  cdf.reserve(sorted.size());
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    cdf.push_back({sorted[i], static_cast<double>(i + 1) / n});
-  }
-  return cdf;
-}
-
-std::string summary_line(const Samples& s) {
-  std::ostringstream os;
-  if (s.empty()) return "n=0";
-  os.setf(std::ios::fixed);
-  os.precision(3);
-  os << "mean=" << s.mean() << " p50=" << s.percentile(50)
-     << " p95=" << s.percentile(95) << " min=" << s.min()
-     << " max=" << s.max() << " n=" << s.count();
-  return os.str();
 }
 
 }  // namespace p4u::sim

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/topologies.hpp"
@@ -167,6 +169,45 @@ TEST(CampaignTest, SamplesMergePreservesSeedOrder) {
   other.add(2.0);
   into.add_all(other.raw());
   EXPECT_EQ(into.raw(), (std::vector<double>{3.0, 1.0, 2.0}));
+}
+
+/// The benches' --jobs gate compares two distinct reports or none: with
+/// one worker it runs the campaign once and reports "not run", never a
+/// report compared with itself (which would always read identical).
+TEST(CampaignTest, JobsGateNeverComparesAReportWithItself) {
+  const Campaign campaign = small_campaign(2);
+  const std::string root = ::testing::TempDir() + "/campaign_jobs_gate";
+  std::filesystem::remove_all(root);
+  const std::vector<std::pair<std::string, std::string>> meta = {
+      {"campaign", "gate"}};
+
+  const JobsGate one = run_jobs_gate(campaign, 1, root, "gate", meta);
+  EXPECT_FALSE(one.ran);
+  EXPECT_EQ(one.jobs, 1);
+  EXPECT_TRUE(std::filesystem::exists(one.serial_report));
+  EXPECT_TRUE(one.parallel_report.empty());
+  EXPECT_EQ(one.verdict(),
+            "--jobs 1 vs --jobs N reports: not run (one worker)");
+  EXPECT_STREQ(one.json(), "null");
+  EXPECT_TRUE(one.passed());
+  EXPECT_EQ(one.results.size(), campaign.specs().size());
+
+  for (const int jobs : {0, 2, 3}) {
+    SCOPED_TRACE(jobs);
+    const JobsGate gate = run_jobs_gate(campaign, jobs, root, "gate", meta);
+    EXPECT_TRUE(gate.ran);
+    EXPECT_EQ(gate.jobs, jobs > 0 ? jobs : 4);
+    ASSERT_TRUE(std::filesystem::exists(gate.serial_report));
+    ASSERT_TRUE(std::filesystem::exists(gate.parallel_report));
+    EXPECT_FALSE(std::filesystem::equivalent(gate.serial_report,
+                                             gate.parallel_report));
+    EXPECT_TRUE(gate.identical);
+    EXPECT_EQ(gate.verdict(), "--jobs 1 and --jobs " +
+                                  std::to_string(gate.jobs) +
+                                  " reports byte-identical: YES");
+    EXPECT_STREQ(gate.json(), "true");
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // Poisson add/remove/reroute churn against P4Update with 5% control-plane
 // drops and recovery on, every request reaches a terminal RequestState
 // (the per-run sample is gated on all_requests_terminal), the monitor
-// stays loop- and blackhole-free, and the merged campaign report is
-// byte-identical whatever --jobs.
+// stays loop- and blackhole-free, the merged campaign report is
+// byte-identical whatever --jobs, and the pooled latency series holds
+// exactly the completed reroutes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -86,6 +87,17 @@ TEST(ChurnDeterminismProperty, TwentyFourSeedsTerminalAndJobInvariant) {
   // multisets.
   EXPECT_EQ(serial[0].result.update_times_ms.raw(),
             parallel[0].result.update_times_ms.raw());
+
+  // The pooled latency series the bench's tails come from: raw-identical
+  // across job counts, one entry per completed reroute in the merged
+  // ledger counter, and no 0 ms add or remove among them.
+  const sim::Samples& lat = serial[0].result.reroute_latency_ms;
+  EXPECT_EQ(lat.raw(), parallel[0].result.reroute_latency_ms.raw());
+  EXPECT_EQ(lat.count(),
+            serial[0].result.metrics.counter_value(
+                "ctrl.request", {{"kind", "reroute"}, {"state", "completed"}}));
+  ASSERT_FALSE(lat.empty());
+  EXPECT_GT(lat.min(), 0.0);
 
   // The shipped artifact: written reports must match byte for byte.
   const std::string base = ::testing::TempDir();

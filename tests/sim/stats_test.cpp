@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "sim/random.hpp"
 
 namespace p4u::sim {
@@ -136,28 +139,62 @@ TEST(SamplesTest, MinMaxMatchScansWithAndWithoutCache) {
   }
 }
 
-TEST(EmpiricalCdfTest, MonotoneAndEndsAtOne) {
-  Samples s;
-  for (double x : {3.0, 1.0, 2.0}) s.add(x);
-  const auto cdf = empirical_cdf(s);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[2].value, 3.0);
-  EXPECT_DOUBLE_EQ(cdf[2].cumulative, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LT(cdf[i - 1].cumulative, cdf[i].cumulative);
+/// Seeded series of `n` samples in one of three shapes: uniform,
+/// exponential (a long right tail) and heavily tied (eight distinct values).
+std::vector<double> quantile_series(int shape, std::size_t n, Rng& rng) {
+  std::vector<double> xs;
+  xs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0: xs.push_back(rng.uniform01() * 100.0); break;
+      case 1: xs.push_back(rng.exponential(70.0)); break;
+      default: xs.push_back(static_cast<double>(rng.uniform(8)) * 12.5);
+    }
+  }
+  return xs;
+}
+
+TEST(SamplesQuantileTest, PercentileIsNonDecreasingInP) {
+  // The probes every report quotes, p0 .. p100 in order: a tail may never
+  // read below a lower one (a p999 under its p99 is a broken estimator).
+  constexpr double kProbes[] = {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0};
+  Rng rng(20261018);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (const std::size_t n : {1u, 2u, 3u, 1000u, 20000u}) {
+      SCOPED_TRACE("shape " + std::to_string(shape) + " n " +
+                   std::to_string(n));
+      Samples s;
+      s.add_all(quantile_series(shape, n, rng));
+      double prev = s.percentile(kProbes[0]);
+      EXPECT_EQ(prev, s.min());
+      for (const double p : kProbes) {
+        const double q = s.percentile(p);
+        EXPECT_LE(prev, q) << "p" << p;
+        prev = q;
+      }
+      EXPECT_EQ(prev, s.max());
+    }
   }
 }
 
-TEST(SummaryLineTest, ContainsKeyFields) {
-  Samples s;
-  s.add(1.0);
-  s.add(2.0);
-  const std::string line = summary_line(s);
-  EXPECT_NE(line.find("mean="), std::string::npos);
-  EXPECT_NE(line.find("n=2"), std::string::npos);
-  EXPECT_EQ(summary_line(Samples{}), "n=0");
+TEST(SamplesQuantileTest, SupportThresholdIsExact) {
+  // n >= 10 / (1 - p): 20 samples for p50, 1,000 for p99 and 10,000 for
+  // p99.9 -- exactly, one sample short is unsupported.
+  const auto supports_at = [](std::size_t n, double p) {
+    Samples s;
+    s.add_all(std::vector<double>(n, 1.0));
+    return s.supports(p);
+  };
+  EXPECT_FALSE(supports_at(19, 50.0));
+  EXPECT_TRUE(supports_at(20, 50.0));
+  EXPECT_FALSE(supports_at(999, 99.0));
+  EXPECT_TRUE(supports_at(1000, 99.0));
+  EXPECT_FALSE(supports_at(9999, 99.9));
+  EXPECT_TRUE(supports_at(10000, 99.9));
+  // No sample supports anything; no sample count supports the maximum.
+  EXPECT_FALSE(supports_at(0, 0.0));
+  EXPECT_TRUE(supports_at(10, 0.0));
+  EXPECT_FALSE(supports_at(20000, 100.0));
 }
 
 }  // namespace
