@@ -1,6 +1,7 @@
 #include "baselines/central_controller.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "p4rt/switch_device.hpp"
 
@@ -10,6 +11,19 @@ namespace {
 
 std::int64_t dlink_key(net::NodeId a, net::NodeId b) {
   return (static_cast<std::int64_t>(a) << 32) | static_cast<std::uint32_t>(b);
+}
+
+template <typename T>
+bool contains(const std::vector<T>& v, const T& x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/// Adds `x` to the set `v` (any order); false when it was already there.
+template <typename T>
+bool insert_unique(std::vector<T>& v, const T& x) {
+  if (contains(v, x)) return false;
+  v.push_back(x);
+  return true;
 }
 
 }  // namespace
@@ -29,42 +43,55 @@ void CentralController::register_flow(const net::Flow& f,
   }
 }
 
+CentralController::Job* CentralController::live_job(net::FlowId flow) {
+  if (!std::binary_search(live_.begin(), live_.end(), flow)) return nullptr;
+  return &jobs_.at(nib_, flow);
+}
+
+void CentralController::end_job(net::FlowId flow) {
+  live_.erase(std::lower_bound(live_.begin(), live_.end(), flow));
+}
+
 p4rt::Version CentralController::schedule_update(net::FlowId flow,
                                                  const net::Path& new_path) {
-  if (const auto live = jobs_.find(flow); live != jobs_.end()) {
-    cancel_inflight(flow, live->second.version, /*superseded=*/true);
+  if (const Job* live = live_job(flow)) {
+    cancel_inflight(flow, live->version, /*superseded=*/true);
   }
   const p4rt::Version version = begin_update(flow, new_path);
-  Job& job = jobs_[flow];
+  Job& job = jobs_.at(nib_, flow);
   job.version = version;
-  job.old_path = nib_.view(flow).believed_path;
-  job.new_path = new_path;
+  const net::Path& believed = nib_.view(flow).believed_path;
+  job.old_path.assign(believed.begin(), believed.end());
+  job.new_path.assign(new_path.begin(), new_path.end());
+  job.updated.clear();
+  job.outstanding.clear();
+  job.pending.clear();
+  job.released.clear();
+  job.round = 0;
   // Nodes whose rule actually changes.
   for (std::size_t i = 0; i + 1 < new_path.size(); ++i) {
     const net::NodeId n = new_path[i];
     if (net::next_hop(job.old_path, n) != new_path[i + 1]) {
-      job.pending.insert(n);
+      job.pending.push_back(n);
     }
   }
   if (job.pending.empty()) {
-    jobs_.erase(flow);
     complete(flow, version);
     return version;
   }
+  live_.insert(std::lower_bound(live_.begin(), live_.end(), flow), flow);
   track_update(flow, version);
   start_round();
   return version;
 }
 
-void CentralController::collect_safe(
-    net::FlowId flow, Job& job,
-    std::vector<std::pair<net::FlowId, net::NodeId>>* round) {
-  std::vector<net::NodeId> candidates;
+void CentralController::collect_safe(net::FlowId flow, Job& job) {
+  candidates_.clear();
   for (auto it = job.new_path.rbegin(); it != job.new_path.rend(); ++it) {
     const net::NodeId n = *it;
-    if (job.pending.count(n) == 0) continue;
+    if (!contains(job.pending, n)) continue;
     if (!central_safe_to_update(job.old_path, job.new_path, n, job.updated,
-                                candidates)) {
+                                candidates_)) {
       continue;
     }
     if (params_.congestion_mode) {
@@ -76,26 +103,28 @@ void CentralController::collect_safe(
       if (cap - used < size) continue;  // wait for capacity to free up
       link_used_[dlink_key(n, to)] += size;  // reserve on command issue
     }
-    candidates.push_back(n);
-    round->emplace_back(flow, n);
+    candidates_.push_back(n);
+    round_.emplace_back(flow, n);
   }
 }
 
 void CentralController::start_round() {
   // Global round barrier ([57], §9.1): the next batch is computed only
   // after every acknowledgement of the previous one arrived, over the
-  // whole dependency relationship (all flows at once).
-  if (global_outstanding_ > 0 || jobs_.empty()) return;
+  // whole dependency relationship (all flows at once, ascending flow id).
+  if (global_outstanding_ > 0 || live_.empty()) return;
   channel_.occupy(kDependencyRecompute);
-  std::vector<std::pair<net::FlowId, net::NodeId>> round;
-  for (auto& [flow, job] : jobs_) collect_safe(flow, job, &round);
-  if (round.empty()) return;  // stuck (capacity deadlock) or nothing to do
+  round_.clear();
+  for (const net::FlowId flow : live_) collect_safe(flow, jobs_.at(nib_, flow));
+  if (round_.empty()) return;  // stuck (capacity deadlock) or nothing to do
   ++rounds_;
-  for (const auto& [flow, n] : round) {
-    Job& job = jobs_.at(flow);
+  for (const auto& [flow, n] : round_) {
+    Job& job = jobs_.at(nib_, flow);
     ++job.round;
-    job.pending.erase(n);
-    job.outstanding.insert(n);
+    job.pending.erase(std::find(job.pending.begin(), job.pending.end(), n));
+    job.outstanding.insert(
+        std::lower_bound(job.outstanding.begin(), job.outstanding.end(), n),
+        n);
     ++global_outstanding_;
     send_install(flow, job, n);
   }
@@ -116,26 +145,31 @@ void CentralController::handle_from_switch(net::NodeId from,
                                            const p4rt::Packet& pkt) {
   if (!pkt.is<p4rt::InstallAckHeader>()) return;
   const auto& ack = pkt.as<p4rt::InstallAckHeader>();
-  auto it = jobs_.find(ack.flow);
-  if (it == jobs_.end() || it->second.version != ack.version) return;
-  Job& job = it->second;
-  if (job.outstanding.erase(from) == 0) return;
+  Job* live = live_job(ack.flow);
+  if (live == nullptr || live->version != ack.version) return;
+  Job& job = *live;
+  const auto acked =
+      std::lower_bound(job.outstanding.begin(), job.outstanding.end(), from);
+  if (acked == job.outstanding.end() || *acked != from) return;
+  job.outstanding.erase(acked);
   if (global_outstanding_ > 0) --global_outstanding_;
   job.updated.push_back(from);
   if (params_.congestion_mode) {
     // The flow left its old outgoing link at `from`: release capacity.
     const net::NodeId old_to = net::next_hop(job.old_path, from);
     if (old_to != net::kNoNode &&
-        job.released.insert(dlink_key(from, old_to)).second) {
+        insert_unique(job.released, dlink_key(from, old_to))) {
       link_used_[dlink_key(from, old_to)] -= nib_.view(ack.flow).flow.size;
     }
   }
   if (job.pending.empty() && job.outstanding.empty()) {
+    // The row keeps its paths after the job ends; only complete() below
+    // may start the flow's next job in it.
     const p4rt::Version version = job.version;
-    const net::Path new_path = job.new_path;
-    const net::Path old_path = job.old_path;
-    std::set<std::int64_t> released = std::move(job.released);
-    jobs_.erase(it);
+    const net::Path& new_path = job.new_path;
+    const net::Path& old_path = job.old_path;
+    std::vector<std::int64_t>& released = job.released;
+    end_job(ack.flow);
     if (params_.congestion_mode) {
       // Release stale old-path links the ack path never freed (nodes whose
       // rules did not change but no longer carry this flow).
@@ -149,7 +183,7 @@ void CentralController::handle_from_switch(net::NodeId from,
             break;
           }
         }
-        if (!on_new && released.insert(key).second) {
+        if (!on_new && insert_unique(released, key)) {
           link_used_[key] -= nib_.view(ack.flow).flow.size;
         }
       }
@@ -174,7 +208,11 @@ void CentralController::handle_from_switch(net::NodeId from,
 void CentralController::resend(net::FlowId flow, p4rt::Version version) {
   // A dropped job is untracked with it (cancel_inflight), so the tracked
   // version's job is live.
-  const Job& job = jobs_.at(flow);
+  const Job* live = live_job(flow);
+  if (live == nullptr) {
+    throw std::out_of_range("CentralController::resend: no live job");
+  }
+  const Job& job = *live;
   (void)version;
   if (job.outstanding.empty()) {
     // No command in flight but the job has not finished: the barrier is
@@ -191,9 +229,9 @@ void CentralController::cancel_inflight(net::FlowId flow,
                                         p4rt::Version version,
                                         bool superseded) {
   (void)superseded;
-  const auto jit = jobs_.find(flow);
-  if (jit == jobs_.end() || jit->second.version != version) return;
-  const Job& job = jit->second;
+  Job* live = live_job(flow);
+  if (live == nullptr || live->version != version) return;
+  Job& job = *live;
   global_outstanding_ -= job.outstanding.size();
   if (params_.congestion_mode) {
     // Release the reservations of commands that were never acknowledged.
@@ -206,7 +244,7 @@ void CentralController::cancel_inflight(net::FlowId flow,
       }
     }
   }
-  jobs_.erase(jit);
+  end_job(flow);
   untrack(flow);
 }
 

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "baselines/dependency_graph.hpp"
@@ -51,16 +51,24 @@ class CentralController final : public faults::RecoveringController {
   }
 
  private:
+  /// One flow's update job, in a row addressed by the NIB's handle. A row
+  /// outlives its job and is reused by the flow's next one, buffers and
+  /// all, so steady-state jobs allocate nothing.
   struct Job {
     p4rt::Version version = 0;
     net::Path old_path;
     net::Path new_path;
-    std::vector<net::NodeId> updated;     // acknowledged new rules
-    std::set<net::NodeId> outstanding;    // commands in flight
-    std::set<net::NodeId> pending;        // rule changes not yet commanded
-    std::set<std::int64_t> released;      // old directed links already freed
+    std::vector<net::NodeId> updated;      // acknowledged new rules
+    std::vector<net::NodeId> outstanding;  // commands in flight, ascending
+    std::vector<net::NodeId> pending;      // rule changes not yet commanded
+    std::vector<std::int64_t> released;    // old directed links already freed
     std::int32_t round = 0;
   };
+
+  /// The flow's live job, or nullptr.
+  [[nodiscard]] Job* live_job(net::FlowId flow);
+  /// Ends the flow's live job (the row stays for the next one).
+  void end_job(net::FlowId flow);
 
   /// Computes and sends the next global round: the maximal safe set of
   /// node updates across ALL in-flight jobs ([57]: one dependency
@@ -68,9 +76,8 @@ class CentralController final : public faults::RecoveringController {
   /// the previous round are outstanding.
   void start_round();
 
-  /// Collects this job's currently safe nodes into the round being built.
-  void collect_safe(net::FlowId flow, Job& job,
-                    std::vector<std::pair<net::FlowId, net::NodeId>>* round);
+  /// Collects this job's currently safe nodes into round_.
+  void collect_safe(net::FlowId flow, Job& job);
 
   /// Sends the install command for node `n` of `job` (initial or resend).
   void send_install(net::FlowId flow, const Job& job, net::NodeId n);
@@ -90,7 +97,13 @@ class CentralController final : public faults::RecoveringController {
   void redeploy(net::FlowId flow, net::NodeId node) override;
 
   CentralParams params_;
-  std::map<net::FlowId, Job> jobs_;
+  control::FlowRows<Job> jobs_;
+  // Flows with a live job, ascending by id: the one record of which jobs
+  // are live, and the order every round visits them in.
+  std::vector<net::FlowId> live_;
+  // Round scratch, reused: the round being built and one job's candidates.
+  std::vector<std::pair<net::FlowId, net::NodeId>> round_;
+  std::vector<net::NodeId> candidates_;
   std::map<std::int64_t, double> link_used_;  // directed-link capacity ledger
   std::uint64_t rounds_ = 0;
   std::size_t global_outstanding_ = 0;  // acks pending for the current round

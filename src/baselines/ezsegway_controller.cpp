@@ -6,46 +6,76 @@
 
 namespace p4u::baseline {
 
+namespace {
+
+template <typename Vec>
+auto find_inflight(Vec& inflight, p4rt::Version version) {
+  return std::find_if(inflight.begin(), inflight.end(),
+                      [version](const auto& e) { return e.version == version; });
+}
+
+}  // namespace
+
 EzSegwayController::EzSegwayController(p4rt::ControlChannel& channel,
                                        control::Nib nib,
                                        EzControllerParams params)
     : RecoveringController(channel, std::move(nib), params.recovery),
       params_(params) {}
 
+std::uint8_t EzSegwayController::priority_of(net::FlowId flow) {
+  const FlowRow& r = row(flow);
+  return r.priority_batch == priority_batch_ ? r.priority : 0;
+}
+
 EzSegwayController::Prepared EzSegwayController::prepare(
     net::FlowId flow, const net::Path& new_path, p4rt::Version version) const {
+  Prepared out;
+  PrepareScratch scratch;
+  prepare_into(out, scratch, flow, new_path, version);
+  return out;
+}
+
+void EzSegwayController::prepare_into(Prepared& out, PrepareScratch& scratch,
+                                      net::FlowId flow,
+                                      const net::Path& new_path,
+                                      p4rt::Version version) const {
   const control::FlowView& view = nib_.view(flow);
   const net::Path& old_path = view.believed_path;
-  const control::Segmentation seg =
-      control::segment_paths(old_path, new_path);
+  control::segment_paths_into(scratch.seg, old_path, new_path);
+  const control::Segmentation& seg = scratch.seg;
 
-  Prepared out;
   out.version = version;
+  out.cmds.clear();
+  out.nontrivial_segments = 0;
 
   // Classify segments; a segment is trivial when it carries no rule change
   // (two adjacent gateways whose hop already matches).
-  std::vector<bool> nontrivial(seg.segments.size(), false);
+  std::vector<char>& nontrivial = scratch.nontrivial;
+  nontrivial.assign(seg.segments.size(), 0);
   for (std::size_t i = 0; i < seg.segments.size(); ++i) {
     const control::Segment& s = seg.segments[i];
     if (s.nodes.size() > 2) {
-      nontrivial[i] = true;
+      nontrivial[i] = 1;
     } else {
       nontrivial[i] =
           net::next_hop(old_path, s.ingress_gateway) != s.egress_gateway;
     }
   }
 
-  // cmd per switch; a node may appear in two consecutive segments.
-  std::map<net::NodeId, p4rt::EzCmdHeader> cmds;
+  // cmd per switch; a node may appear in two consecutive segments. Paths
+  // are short, so the switch's command is found by a linear scan.
+  std::vector<p4rt::EzCmdHeader>& cmds = scratch.by_node;
+  cmds.clear();
   auto cmd_of = [&](net::NodeId n) -> p4rt::EzCmdHeader& {
-    auto [it, inserted] = cmds.try_emplace(n);
-    if (inserted) {
-      it->second.flow = flow;
-      it->second.target = n;
-      it->second.version = version;
-      it->second.flow_size = view.flow.size;
+    for (p4rt::EzCmdHeader& c : cmds) {
+      if (c.target == n) return c;
     }
-    return it->second;
+    p4rt::EzCmdHeader& c = cmds.emplace_back();
+    c.flow = flow;
+    c.target = n;
+    c.version = version;
+    c.flow_size = view.flow.size;
+    return c;
   };
 
   const net::Graph& g = nib_.graph();
@@ -96,10 +126,12 @@ EzSegwayController::Prepared EzSegwayController::prepare(
 
   // Egress-side switches first, like the other systems.
   for (auto it = new_path.rbegin(); it != new_path.rend(); ++it) {
-    auto found = cmds.find(*it);
-    if (found != cmds.end()) out.cmds.push_back(found->second);
+    for (const p4rt::EzCmdHeader& c : cmds) {
+      if (c.target != *it) continue;
+      out.cmds.push_back(c);
+      break;
+    }
   }
-  return out;
 }
 
 std::map<net::FlowId, EzPriority> EzSegwayController::prepare_priorities(
@@ -118,16 +150,19 @@ p4rt::Version EzSegwayController::issue(net::FlowId flow,
                                         const net::Path& new_path,
                                         std::uint8_t priority) {
   const p4rt::Version version = begin_update(flow, new_path);
-  Prepared prepared = prepare(flow, new_path, version);
-  if (prepared.nontrivial_segments == 0) {
+  prepare_into(prepared_, scratch_, flow, new_path, version);
+  if (prepared_.nontrivial_segments == 0) {
     // Nothing to change: complete instantly.
     complete(flow, version);
     return version;
   }
-  remaining_[{flow, version}] = prepared.nontrivial_segments;
-  for (p4rt::EzCmdHeader cmd : prepared.cmds) {
-    cmd.priority = priority;
-    channel_.send_to_switch(cmd.target, p4rt::Packet{cmd});
+  Inflight& live = row(flow).inflight.emplace_back();
+  live.version = version;
+  live.remaining = prepared_.nontrivial_segments;
+  for (const p4rt::EzCmdHeader& prepared_cmd : prepared_.cmds) {
+    p4rt::Packet pkt{prepared_cmd};
+    pkt.as<p4rt::EzCmdHeader>().priority = priority;
+    channel_.send_to_switch(prepared_cmd.target, std::move(pkt));
   }
   track_update(flow, version);
   return version;
@@ -137,17 +172,15 @@ p4rt::Version EzSegwayController::schedule_update(net::FlowId flow,
                                                   const net::Path& new_path) {
   if (nib_.view(flow).update_in_progress) {
     // ez-Segway waits for the ongoing update before the next (§4.2).
-    queued_[flow].push_back(new_path);
+    row(flow).queued.push_back(new_path);
     return 0;
   }
-  const auto prio_it = priority_.find(flow);
-  return issue(flow, new_path,
-               prio_it == priority_.end() ? 0 : prio_it->second);
+  return issue(flow, new_path, priority_of(flow));
 }
 
 void EzSegwayController::prepare_batch(
     const std::vector<std::pair<net::FlowId, net::Path>>& updates) {
-  priority_.clear();
+  ++priority_batch_;  // forgets the previous batch's priorities
   if (params_.congestion_mode) {
     // The global dependency graph is computed centrally *before* any
     // command can leave — its cost sits on the update's critical path
@@ -163,7 +196,9 @@ void EzSegwayController::prepare_batch(
     std::uint64_t units = 0;
     for (const auto& [flow, prio] :
          compute_ez_priorities(nib_.graph(), moves, &units)) {
-      priority_[flow] = static_cast<std::uint8_t>(prio);
+      FlowRow& r = row(flow);
+      r.priority = static_cast<std::uint8_t>(prio);
+      r.priority_batch = priority_batch_;
     }
     channel_.occupy(static_cast<sim::Duration>(units) * kWorkUnitCost);
   }
@@ -182,15 +217,19 @@ void EzSegwayController::handle_from_switch(net::NodeId from,
   (void)from;
   if (!pkt.is<p4rt::UfmHeader>()) return;
   const auto& ufm = pkt.as<p4rt::UfmHeader>();
-  const Key key{ufm.flow, ufm.version};
-  auto it = remaining_.find(key);
-  if (it == remaining_.end()) return;
+  if (!nib_.knows(ufm.flow)) return;
+  std::vector<Inflight>& inflight = row(ufm.flow).inflight;
+  const auto it = find_inflight(inflight, ufm.version);
+  if (it == inflight.end()) return;
   // Recovery resends can duplicate a segment top's UFM; count each reporter
   // once or a double-decrement completes a half-finished update.
-  if (!ufm_seen_[key].insert(ufm.reporter).second) return;
-  if (--it->second > 0) return;
-  remaining_.erase(it);
-  ufm_seen_.erase(key);
+  if (std::find(it->reported.begin(), it->reported.end(), ufm.reporter) !=
+      it->reported.end()) {
+    return;
+  }
+  it->reported.push_back(ufm.reporter);
+  if (--it->remaining > 0) return;
+  inflight.erase(it);
   complete(ufm.flow, ufm.version);
   issue_next_queued(ufm.flow);
 }
@@ -201,39 +240,45 @@ void EzSegwayController::issue_next_queued(net::FlowId flow) {
   // break the one-update-per-flow invariant (§4.2). It stays queued until
   // the flow is idle again.
   if (nib_.view(flow).update_in_progress) return;
-  auto q = queued_.find(flow);
-  if (q == queued_.end() || q->second.empty()) return;
-  const net::Path next = q->second.front();
-  q->second.pop_front();
-  const auto prio_it = priority_.find(flow);
-  issue(flow, next, prio_it == priority_.end() ? 0 : prio_it->second);
+  FlowRow& r = row(flow);
+  if (r.queued_head == r.queued.size()) return;
+  const net::Path next = std::move(r.queued[r.queued_head++]);
+  if (r.queued_head == r.queued.size()) {
+    r.queued.clear();
+    r.queued_head = 0;
+  }
+  issue(flow, next, priority_of(flow));
 }
 
 void EzSegwayController::resend(net::FlowId flow, p4rt::Version version) {
-  const net::Path* path = issued_path(flow, version);
-  if (path == nullptr) return;
+  const auto path = issued_path(flow, version);
+  if (path.empty()) return;
+  resend_path_.assign(path.begin(), path.end());
   // The believed path is untouched while the update is in flight, so the
   // preparation reproduces the original commands exactly.
-  Prepared prepared = prepare(flow, *path, version);
-  const auto prio_it = priority_.find(flow);
-  for (p4rt::EzCmdHeader cmd : prepared.cmds) {
-    cmd.priority = prio_it == priority_.end() ? 0 : prio_it->second;
+  prepare_into(prepared_, scratch_, flow, resend_path_, version);
+  const std::uint8_t priority = priority_of(flow);
+  for (const p4rt::EzCmdHeader& prepared_cmd : prepared_.cmds) {
+    p4rt::Packet pkt{prepared_cmd};
+    auto& cmd = pkt.as<p4rt::EzCmdHeader>();
+    cmd.priority = priority;
     cmd.retrigger = true;
-    channel_.send_to_switch(cmd.target, p4rt::Packet{cmd});
+    channel_.send_to_switch(prepared_cmd.target, std::move(pkt));
   }
 }
 
 void EzSegwayController::cancel_inflight(net::FlowId flow,
                                          p4rt::Version version,
                                          bool superseded) {
-  const Key key{flow, version};
-  remaining_.erase(key);
-  ufm_seen_.erase(key);
+  FlowRow& r = row(flow);
+  const auto it = find_inflight(r.inflight, version);
+  if (it != r.inflight.end()) r.inflight.erase(it);
   if (!superseded) return;
   // Queued follow-ups were planned against a topology that no longer
   // exists; the repair update supersedes the whole intent. ez-Segway issues
   // only onto an idle flow (§4.2), so the flow is released for the repair.
-  queued_.erase(flow);
+  r.queued.clear();
+  r.queued_head = 0;
   untrack(flow);
 }
 

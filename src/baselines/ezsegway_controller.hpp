@@ -9,9 +9,7 @@
 // completed (§4.2).
 #pragma once
 
-#include <deque>
 #include <map>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -21,6 +19,7 @@
 #include "control/segmentation.hpp"
 #include "faults/recovery.hpp"
 #include "p4rt/control_channel.hpp"
+#include "sim/small_vec.hpp"
 
 namespace p4u::baseline {
 
@@ -50,7 +49,8 @@ class EzSegwayController final : public faults::RecoveringController {
     std::int32_t nontrivial_segments = 0;
   };
 
-  /// Pure preparation for one flow (Fig. 8a measures this).
+  /// Pure preparation for one flow (Fig. 8a measures this). Issuing runs
+  /// the same preparation into buffers the controller reuses.
   [[nodiscard]] Prepared prepare(net::FlowId flow, const net::Path& new_path,
                                  p4rt::Version version) const;
 
@@ -80,7 +80,40 @@ class EzSegwayController final : public faults::RecoveringController {
   void handle_from_switch(net::NodeId from, const p4rt::Packet& pkt) override;
 
  private:
-  using Key = std::pair<net::FlowId, p4rt::Version>;
+  /// Scratch of one preparation, kept by the controller across updates.
+  struct PrepareScratch {
+    control::Segmentation seg;
+    std::vector<char> nontrivial;           // per segment
+    std::vector<p4rt::EzCmdHeader> by_node;  // one command per switch
+  };
+  /// The one preparation: fills `out`, reusing its and `scratch`'s buffers.
+  void prepare_into(Prepared& out, PrepareScratch& scratch, net::FlowId flow,
+                    const net::Path& new_path, p4rt::Version version) const;
+
+  /// An issued update still waiting for segment UFMs.
+  struct Inflight {
+    p4rt::Version version = 0;
+    std::int32_t remaining = 0;  // non-trivial segments not yet done
+    // Segment-top reporters already counted against `remaining`: recovery
+    // resends make duplicate UFMs possible, and a double-decrement would
+    // complete an update whose segments never all finished.
+    sim::SmallVec<net::NodeId, 4> reported;
+  };
+  /// Per-flow state, addressed by the NIB's handle.
+  struct FlowRow {
+    // Usually one entry: ez-Segway issues onto an idle flow only (§4.2).
+    // A belief forced idle while an update is in flight (Fig. 2's stale
+    // controller) issues the next one beside it, and both stay live.
+    std::vector<Inflight> inflight;
+    // Updates waiting for the in-flight one, oldest at queued_head.
+    std::vector<net::Path> queued;
+    std::size_t queued_head = 0;
+    // The congestion variant's static priority, valid for priority_batch.
+    std::uint8_t priority = 0;
+    std::uint64_t priority_batch = 0;
+  };
+  FlowRow& row(net::FlowId flow) { return rows_.at(nib_, flow); }
+  [[nodiscard]] std::uint8_t priority_of(net::FlowId flow);
 
   p4rt::Version issue(net::FlowId flow, const net::Path& new_path,
                       std::uint8_t priority);
@@ -101,13 +134,12 @@ class EzSegwayController final : public faults::RecoveringController {
   void redeploy(net::FlowId flow, net::NodeId node) override;
 
   EzControllerParams params_;
-  std::map<Key, std::int32_t> remaining_;
-  std::map<net::FlowId, std::deque<net::Path>> queued_;
-  std::map<net::FlowId, std::uint8_t> priority_;
-  // Segment-top reporters already counted against remaining_: recovery
-  // resends make duplicate UFMs possible, and a double-decrement would
-  // complete an update whose segments never all finished.
-  std::map<Key, std::set<net::NodeId>> ufm_seen_;
+  control::FlowRows<FlowRow> rows_;
+  // The batch whose priorities the rows hold (prepare_batch bumps it).
+  std::uint64_t priority_batch_ = 0;
+  Prepared prepared_;
+  PrepareScratch scratch_;
+  net::Path resend_path_;
 };
 
 }  // namespace p4u::baseline

@@ -1,5 +1,6 @@
 #include "baselines/ezsegway_switch.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/paths.hpp"
@@ -21,8 +22,69 @@ EzSegwaySwitch::EzSegwaySwitch(net::NodeId id, const net::Graph& graph,
 
 void EzSegwaySwitch::bootstrap_flow(SwitchDevice& sw, net::FlowId f,
                                     std::int32_t egress_port, double size) {
-  flow_size_.write(size_index_, f, size);
+  flow_size_.write(index_, f, size);
   sw.set_rule_now(f, egress_port);
+}
+
+const EzSegwaySwitch::VersionEntry* EzSegwaySwitch::find_entry(
+    net::FlowId flow, p4rt::Version version) const {
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return nullptr;
+  // The chain is ordered newest first: stop once past `version`.
+  for (std::uint32_t e = newest_.get(h, index_.generation(h));
+       e != kNoEntry && entries_[e].version >= version;
+       e = entries_[e].older) {
+    if (entries_[e].version == version) return &entries_[e];
+  }
+  return nullptr;
+}
+
+EzSegwaySwitch::VersionEntry& EzSegwaySwitch::entry(net::FlowId flow,
+                                                    p4rt::Version version) {
+  const net::FlowHandle h = index_.intern(flow);
+  // Walk to the first entry not newer than `version`: the match, or where
+  // a new entry keeps the chain ordered. Nearly every message is for the
+  // flow's newest version, so the walk is one step.
+  std::uint32_t* link = &newest_.row(h, index_.generation(h));
+  while (*link != kNoEntry && entries_[*link].version > version) {
+    link = &entries_[*link].older;
+  }
+  if (*link != kNoEntry && entries_[*link].version == version) {
+    return entries_[*link];
+  }
+  // Appending moves no entry and no row, so `link` stays valid.
+  const std::uint32_t i = entries_.append();
+  VersionEntry& e = entries_[i];
+  e.flow = flow;
+  e.version = version;
+  e.older = *link;
+  *link = i;
+  return e;
+}
+
+EzSegwaySwitch::PendingUpdate& EzSegwaySwitch::update_of(
+    net::FlowId flow, p4rt::Version version) {
+  VersionEntry& e = entry(flow, version);
+  e.has_update = true;
+  return e.update;
+}
+
+void EzSegwaySwitch::set_inflight(net::FlowId flow, std::int32_t port) {
+  const auto it = std::lower_bound(
+      inflight_.begin(), inflight_.end(), flow,
+      [](const auto& entry, net::FlowId f) { return entry.first < f; });
+  if (it != inflight_.end() && it->first == flow) {
+    it->second = port;
+  } else {
+    inflight_.insert(it, {flow, port});
+  }
+}
+
+void EzSegwaySwitch::clear_inflight(net::FlowId flow) {
+  const auto it = std::lower_bound(
+      inflight_.begin(), inflight_.end(), flow,
+      [](const auto& entry, net::FlowId f) { return entry.first < f; });
+  if (it != inflight_.end() && it->first == flow) inflight_.erase(it);
 }
 
 void EzSegwaySwitch::handle(SwitchDevice& sw, Packet pkt,
@@ -38,7 +100,8 @@ void EzSegwaySwitch::handle(SwitchDevice& sw, Packet pkt,
     const auto& c = pkt.as<p4rt::CleanupHeader>();
     // Nodes that are part of this version's new configuration keep their
     // rule; pure old-path leftovers are removed and pass the cleanup on.
-    if (pending_.count({c.flow, c.version}) != 0) return;
+    const VersionEntry* e = find_entry(c.flow, c.version);
+    if (e != nullptr && e->has_update) return;
     const auto port = sw.lookup(c.flow);
     if (!port) return;
     sw.remove_rule(c.flow);
@@ -50,11 +113,10 @@ void EzSegwaySwitch::handle(SwitchDevice& sw, Packet pkt,
 
 void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
                                 const p4rt::EzCmdHeader& cmd) {
-  const Key key{cmd.flow, cmd.version};
-  PendingUpdate& pu = pending_[key];
+  PendingUpdate& pu = update_of(cmd.flow, cmd.version);
   pu.cmd = cmd;
   if (cmd.flow_size > 0.0) {
-    flow_size_.write(size_index_, cmd.flow, cmd.flow_size);
+    flow_size_.write(index_, cmd.flow, cmd.flow_size);
   }
   if (cmd.retrigger) {
     // Controller resend: every message this node already owed may have been
@@ -67,8 +129,12 @@ void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
       n.version = pu.cmd.version;
       n.segment_id = pu.cmd.chain_segment;
       ++notifies_sent_;
-      sw.fabric().trace().add({sw.now(), TraceKind::kMessageSent, id_, n.flow,
-                               n.version, n.segment_id, "ez chain retrigger"});
+      // Notes past the 15-byte inline string allocate: build them only when
+      // tracing is on.
+      sw.fabric().trace().add_lazy([&] {
+        return sim::TraceEntry{sw.now(), TraceKind::kMessageSent, id_, n.flow,
+                               n.version, n.segment_id, "ez chain retrigger"};
+      });
       sw.clone_to_port(Packet{n}, pu.cmd.chain_child_port);
       return;
     }
@@ -107,7 +173,7 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
   double used = 0.0;
   for (const auto& [flow, p] : sw.rules()) {
     if (flow != pu.cmd.flow && p == port) {
-      used += flow_size_.read(size_index_, flow);
+      used += flow_size_.read(index_, flow);
     }
   }
   // In-flight installs hold capacity too (the rule write takes time).
@@ -115,15 +181,18 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
     if (flow == pu.cmd.flow || p != port) continue;
     const auto cur2 = sw.lookup(flow);
     if (cur2 && *cur2 == port) continue;
-    used += flow_size_.read(size_index_, flow);
+    used += flow_size_.read(index_, flow);
   }
-  if (capacity - used < flow_size_.read(size_index_, pu.cmd.flow)) {
+  if (capacity - used < flow_size_.read(index_, pu.cmd.flow)) {
     return false;
   }
   // Static priorities: a lower-priority move yields while a strictly
   // higher-priority pending move at this node targets the same port.
-  for (const auto& [key, other] : pending_) {
-    if (key.first == pu.cmd.flow || other.installed) continue;
+  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
+    const VersionEntry& e = entries_[i];
+    if (!e.has_update || e.flow == pu.cmd.flow) continue;
+    const PendingUpdate& other = e.update;
+    if (other.installed) continue;
     if (other.cmd.has_rule_change && other.cmd.egress_port_new == port &&
         other.cmd.priority > pu.cmd.priority) {
       return false;
@@ -134,35 +203,37 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
 
 void EzSegwaySwitch::handle_notify(SwitchDevice& sw, Packet pkt) {
   const auto n = pkt.as<p4rt::EzNotifyHeader>();
-  const Key key{n.flow, n.version};
+  VersionEntry& e = entry(n.flow, n.version);
   // Give-up bound: a notify that waited past retry_timeout is dropped (the
   // schedule is stuck; in a deployment the controller re-triggers).
-  auto started = retry_since_.find(key);
-  if (started != retry_since_.end() &&
-      sw.now() - started->second > params_.retry_timeout) {
-    retry_since_.erase(started);
+  if (e.retrying && sw.now() - e.retry_since > params_.retry_timeout) {
+    e.retrying = false;
     return;
   }
-  auto it = pending_.find(key);
-  if (it == pending_.end()) {
+  const auto start_retry = [&sw, &e] {
+    if (e.retrying) return;
+    e.retrying = true;
+    e.retry_since = sw.now();
+  };
+  if (!e.has_update) {
     // Command not here yet (controller messages still in flight): retry.
-    retry_since_.try_emplace(key, sw.now());
+    start_retry();
     sw.resubmit(std::move(pkt), -1);
     return;
   }
-  PendingUpdate& pu = it->second;
+  PendingUpdate& pu = e.update;
   if (!pu.cmd.has_rule_change || pu.cmd.rule_segment != n.segment_id ||
       pu.installed) {
     return;  // duplicate or stray notification
   }
   if (!capacity_ok(sw, pu)) {
-    retry_since_.try_emplace(key, sw.now());
+    start_retry();
     sw.fabric().trace().add({sw.now(), TraceKind::kCongestionDefer, id_,
                              n.flow, pu.cmd.egress_port_new, 0, "ez defer"});
     sw.resubmit(std::move(pkt), -1);
     return;
   }
-  retry_since_.erase(key);
+  e.retrying = false;
   do_install(sw, pu);
 }
 
@@ -170,9 +241,9 @@ void EzSegwaySwitch::do_install(SwitchDevice& sw, PendingUpdate& pu) {
   pu.installed = true;
   const p4rt::EzCmdHeader cmd = pu.cmd;
   const std::int32_t old_port = sw.lookup(cmd.flow).value_or(-1);
-  inflight_[cmd.flow] = cmd.egress_port_new;
+  set_inflight(cmd.flow, cmd.egress_port_new);
   sw.install_rule(cmd.flow, cmd.egress_port_new, [this, &sw, cmd, old_port]() {
-    inflight_.erase(cmd.flow);
+    clear_inflight(cmd.flow);
     if (cmd.is_segment_top && old_port >= 0 &&
         old_port != cmd.egress_port_new) {
       // Rule cleanup along the replaced old sub-path: no further packets
@@ -234,9 +305,12 @@ void EzSegwaySwitch::handle_segment_done(SwitchDevice& sw, Packet pkt) {
     route_towards(sw, d.final_dst, std::move(pkt));
     return;
   }
-  const Key key{d.flow, d.version};
-  PendingUpdate& pu = pending_[key];
-  if (!pu.done_from.insert(d.segment_id).second) return;  // duplicate
+  PendingUpdate& pu = update_of(d.flow, d.version);
+  if (std::find(pu.done_from.begin(), pu.done_from.end(), d.segment_id) !=
+      pu.done_from.end()) {
+    return;  // duplicate
+  }
+  pu.done_from.push_back(d.segment_id);
   ++pu.done_received;
   if (pu.cmd.starts_chain && !pu.chain_started &&
       pu.done_received >= pu.cmd.await_segments) {
@@ -249,10 +323,10 @@ void EzSegwaySwitch::on_crash(SwitchDevice& sw) {
   // A crash loses everything the agent kept in registers: parked commands,
   // retry deadlines, in-flight reservations, and the flow-size cells. The
   // static management routing is program config and survives.
-  pending_.clear();
-  retry_since_.clear();
+  entries_.clear();
+  newest_.clear();
   inflight_.clear();
-  size_index_.clear();
+  index_.clear();
   flow_size_.clear();
 }
 

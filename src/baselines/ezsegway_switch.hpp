@@ -14,14 +14,16 @@
 //   * congestion priorities are static, precomputed by the controller.
 #pragma once
 
-#include <map>
-#include <set>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/flow_index.hpp"
 #include "p4rt/fabric.hpp"
 #include "p4rt/register_array.hpp"
 #include "p4rt/switch_device.hpp"
+#include "sim/append_log.hpp"
+#include "sim/small_vec.hpp"
 
 namespace p4u::baseline {
 
@@ -56,17 +58,40 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
     std::int32_t done_received = 0;
     // Resolved dependency segments: recovery resends can duplicate a
     // SegmentDone, and double-counting would start an in_loop chain early.
-    std::set<std::int32_t> done_from;
+    sim::SmallVec<std::int32_t, 4> done_from;
     bool chain_started = false;
     bool installed = false;
   };
-  using Key = std::pair<net::FlowId, p4rt::Version>;
+  /// Everything the agent holds for one (flow, version): the parked command
+  /// state once a command or SegmentDone arrived, and the time a notify
+  /// that found no command (or no capacity) began retrying.
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+  struct VersionEntry {
+    net::FlowId flow = 0;
+    p4rt::Version version = 0;
+    std::uint32_t older = kNoEntry;  // the flow's previous entry
+    bool has_update = false;  // `update` holds a command or SegmentDone
+    bool retrying = false;    // `retry_since` is set
+    sim::Time retry_since = 0;
+    PendingUpdate update;
+  };
+
+  /// (flow, version)'s entry, or nullptr.
+  [[nodiscard]] const VersionEntry* find_entry(net::FlowId flow,
+                                               p4rt::Version version) const;
+  /// (flow, version)'s entry, appended when missing.
+  VersionEntry& entry(net::FlowId flow, p4rt::Version version);
+  /// The update parked for (flow, version), created on first use.
+  PendingUpdate& update_of(net::FlowId flow, p4rt::Version version);
 
   void handle_cmd(p4rt::SwitchDevice& sw, const p4rt::EzCmdHeader& cmd);
   void handle_notify(p4rt::SwitchDevice& sw, p4rt::Packet pkt);
   void handle_segment_done(p4rt::SwitchDevice& sw, p4rt::Packet pkt);
   void start_chain(p4rt::SwitchDevice& sw, PendingUpdate& pu);
   void do_install(p4rt::SwitchDevice& sw, PendingUpdate& pu);
+  /// Marks `flow` as holding `port` until its install lands.
+  void set_inflight(net::FlowId flow, std::int32_t port);
+  void clear_inflight(net::FlowId flow);
   /// The messages a rule-change node owes downstream consumers once its
   /// install finished: upstream notify, or (segment top) SegmentDone fanout
   /// plus the UFM. Re-run verbatim on a retrigger command.
@@ -82,14 +107,21 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   net::NodeId id_;
   const net::Graph* graph_;
   EzSwitchParams params_;
-  std::map<Key, PendingUpdate> pending_;
-  std::map<Key, sim::Time> retry_since_;
-  // The flow_size register (0 for a flow never sized), flat over the
-  // pipeline's own index: it outlives the flow's rule, so it cannot share
-  // the device's (DESIGN.md §10).
-  net::FlowIndex size_index_;
+  // The pipeline's own flow index: it addresses the flow_size register and
+  // the per-flow version chains, both of which outlive the flow's rule, so
+  // neither can share the device's (DESIGN.md §10).
+  net::FlowIndex index_;
+  // The flow_size register (0 for a flow never sized).
   p4rt::FlatRegisterArray<double> flow_size_{0.0};
-  std::map<net::FlowId, std::int32_t> inflight_;  // approved, not yet active
+  // Append-only: every (flow, version) the switch heard of keeps its entry,
+  // since a late or duplicate message for an older version must still find
+  // it. Each flow's entries chain from its newest_ row in descending
+  // version order.
+  sim::AppendLog<VersionEntry, 64> entries_;
+  net::FlowPool<std::uint32_t> newest_{kNoEntry};
+  // Approved installs not yet active, as (flow, port) ascending by flow:
+  // the congestion check sums over them in flow-id order.
+  std::vector<std::pair<net::FlowId, std::int32_t>> inflight_;
   std::vector<std::int32_t> next_hop_port_;  // static mgmt routing, per dest
   std::uint64_t notifies_sent_ = 0;
 };

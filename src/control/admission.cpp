@@ -23,25 +23,52 @@ AdmissionQueue::AdmissionQueue(FlowDb& db, AdmissionParams params)
     : db_(db), params_(params) {}
 
 RequestId AdmissionQueue::submit(net::FlowId flow, RequestKind kind,
-                                 net::Path new_path) {
+                                 const net::Path& new_path) {
   const RequestId id = db_.request_submitted(flow, kind, now());
   if (params_.coalesce) {
     // At most one queued entry per flow exists under coalescing, so the
     // first hit is the only one. The replacement keeps the queue position:
     // a flow cannot gain priority by resubmitting.
-    for (Pending& p : pending_) {
-      if (p.flow != flow) continue;
-      finish(p.id, RequestState::kSuperseded);
+    for (std::uint32_t i = head_; i != kNoSlot; i = slots_[i].next) {
+      if (slots_[i].flow != flow) continue;
+      finish(slots_[i].id, RequestState::kSuperseded);
       ++coalesced_;
-      p.id = id;
-      p.path = std::move(new_path);
+      // Re-read the slot: a submit from the notification may have grown
+      // slots_.
+      Slot& slot = slots_[i];
+      slot.id = id;
+      slot.path.assign(new_path.begin(), new_path.end());
       return id;
     }
   }
-  pending_.push_back(Pending{id, flow, std::move(new_path)});
-  queued_peak_ = std::max(queued_peak_, pending_.size());
+  enqueue(id, flow, new_path);
+  queued_peak_ = std::max(queued_peak_, queued_);
   pump();
   return id;
+}
+
+void AdmissionQueue::enqueue(RequestId id, net::FlowId flow,
+                             const net::Path& path) {
+  std::uint32_t i = kNoSlot;
+  if (free_slots_.empty()) {
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    i = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[i];
+  slot.id = id;
+  slot.flow = flow;
+  slot.path.assign(path.begin(), path.end());
+  slot.next = kNoSlot;
+  if (tail_ == kNoSlot) {
+    head_ = i;
+  } else {
+    slots_[tail_].next = i;
+  }
+  tail_ = i;
+  ++queued_;
 }
 
 RequestId AdmissionQueue::note_instant(net::FlowId flow, RequestKind kind) {
@@ -57,9 +84,10 @@ void AdmissionQueue::on_update_settled(net::FlowId flow,
                                        UpdateOutcome outcome) {
   const RequestState terminal = state_of(outcome);
   if (!is_terminal(terminal)) return;
-  const auto ait = active_.find(flow);
-  if (ait == active_.end() || ait->second.empty()) return;
-  std::vector<Active>& acts = ait->second;
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle || acts_of(h).empty()) return;
+  // The row is re-read after every finish(): a submit from a notification
+  // may intern a new flow and grow active_.
 
   // The settled version's request, by exact match first. Without one (the
   // controller settled a version it issued internally — a recovery repair —
@@ -67,25 +95,25 @@ void AdmissionQueue::on_update_settled(net::FlowId flow,
   // superseded and the oldest version-less dispatch absorbs the outcome:
   // per-flow issue order is FIFO, so that entry is the settled one whenever
   // the version is attributable at all.
-  std::size_t match = acts.size();
-  for (std::size_t i = 0; i < acts.size(); ++i) {
-    if (acts[i].version == version) {
+  std::size_t match = acts_of(h).size();
+  for (std::size_t i = 0; i < acts_of(h).size(); ++i) {
+    if (acts_of(h)[i].version == version) {
       match = i;
       break;
     }
   }
-  if (match == acts.size()) {
+  if (match == acts_of(h).size()) {
     // Drop the prefix of strictly-older known versions first, then look
     // for a version-less dispatch to attribute to.
-    while (!acts.empty() && acts.front().version != 0 &&
-           acts.front().version < version) {
+    while (!acts_of(h).empty() && acts_of(h).front().version != 0 &&
+           acts_of(h).front().version < version) {
+      std::vector<Active>& acts = acts_of(h);
       const RequestId id = acts.front().id;
       acts.erase(acts.begin());
       --inflight_;
       finish(id, RequestState::kSuperseded);
     }
-    if (acts.empty() || acts.front().version != 0) {
-      if (acts.empty()) active_.erase(ait);
+    if (acts_of(h).empty() || acts_of(h).front().version != 0) {
       pump();
       return;
     }
@@ -95,18 +123,20 @@ void AdmissionQueue::on_update_settled(net::FlowId flow,
   // Version-ordered notification: everything dispatched before the match is
   // an older version — it settles kSuperseded *before* the match's own
   // terminal notification fires.
-  std::vector<RequestId> resolved;
-  resolved.reserve(match + 1);
-  for (std::size_t i = 0; i <= match; ++i) resolved.push_back(acts[i].id);
-  acts.erase(acts.begin(), acts.begin() + static_cast<std::ptrdiff_t>(match) + 1);
+  std::vector<Active>& acts = acts_of(h);
+  const std::size_t base = resolved_.size();
+  for (std::size_t i = 0; i <= match; ++i) resolved_.push_back(acts[i].id);
+  acts.erase(acts.begin(),
+             acts.begin() + static_cast<std::ptrdiff_t>(match) + 1);
   inflight_ -= match + 1;
-  if (acts.empty()) active_.erase(ait);
 
-  for (std::size_t i = 0; i + 1 < resolved.size(); ++i) {
-    finish(resolved[i], RequestState::kSuperseded);
+  const std::size_t last = resolved_.size() - 1;
+  for (std::size_t i = base; i < last; ++i) {
+    finish(resolved_[i], RequestState::kSuperseded);
   }
-  db_.request_version(resolved.back(), version);
-  finish(resolved.back(), terminal);
+  db_.request_version(resolved_[last], version);
+  finish(resolved_[last], terminal);
+  resolved_.resize(base);
   pump();
 }
 
@@ -119,8 +149,10 @@ void AdmissionQueue::finish(RequestId id, RequestState terminal) {
 }
 
 std::size_t AdmissionQueue::flow_inflight(net::FlowId flow) const {
-  const auto it = active_.find(flow);
-  return it == active_.end() ? 0 : it->second.size();
+  const net::FlowHandle h = index_.find(flow);
+  return h == net::kNoFlowHandle
+             ? 0
+             : active_.get(h, index_.generation(h)).size();
 }
 
 bool AdmissionQueue::can_dispatch(net::FlowId flow) const {
@@ -128,47 +160,41 @@ bool AdmissionQueue::can_dispatch(net::FlowId flow) const {
          flow_inflight(flow) < params_.max_inflight_per_flow;
 }
 
-void AdmissionQueue::dispatch_one(Pending p) {
-  db_.request_dispatched(p.id, 0, now());
-  active_[p.flow].push_back(Active{p.id, 0});
+void AdmissionQueue::dispatch_one(RequestId id, net::FlowId flow,
+                                  const net::Path& path) {
+  db_.request_dispatched(id, 0, now());
+  const net::FlowHandle h = index_.intern(flow);
+  acts_of(h).push_back(Active{id, 0});
   ++inflight_;
   inflight_peak_ = std::max(inflight_peak_, inflight_);
   ++dispatched_;
-  const DispatchResult r =
-      dispatch_ ? dispatch_(p.flow, p.path) : DispatchResult{};
-  const RequestRecord* rec = db_.request(p.id);
+  const DispatchResult r = dispatch_ ? dispatch_(flow, path) : DispatchResult{};
+  const RequestRecord* rec = db_.request(id);
   if (rec == nullptr || is_terminal(rec->state)) {
     // Settled from inside the dispatch (a trivial update completed inline);
     // the settle handler already removed the active entry.
     return;
   }
+  std::vector<Active>& acts = acts_of(h);
   if (!r.accepted) {
     // Nothing was issued (preflight refusal): the flow keeps its believed
     // old path, which is exactly a rollback from the request's view.
     ++refused_;
-    auto ait = active_.find(p.flow);
-    if (ait != active_.end()) {
-      auto& acts = ait->second;
-      for (std::size_t i = 0; i < acts.size(); ++i) {
-        if (acts[i].id != p.id) continue;
-        acts.erase(acts.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-      if (acts.empty()) active_.erase(ait);
+    for (std::size_t i = 0; i < acts.size(); ++i) {
+      if (acts[i].id != id) continue;
+      acts.erase(acts.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
     }
     --inflight_;
-    finish(p.id, RequestState::kRolledBack);
+    finish(id, RequestState::kRolledBack);
     return;
   }
   if (r.version != 0) {
-    db_.request_version(p.id, r.version);
-    auto ait = active_.find(p.flow);
-    if (ait != active_.end()) {
-      for (Active& a : ait->second) {
-        if (a.id == p.id) {
-          a.version = r.version;
-          break;
-        }
+    db_.request_version(id, r.version);
+    for (Active& a : acts) {
+      if (a.id == id) {
+        a.version = r.version;
+        break;
       }
     }
   }
@@ -177,24 +203,31 @@ void AdmissionQueue::dispatch_one(Pending p) {
 void AdmissionQueue::pump() {
   if (pumping_) return;  // a settle inside a dispatch defers to this loop
   pumping_ = true;
-  while (!pending_.empty()) {
-    if (params_.max_inflight_global != 0 &&
-        inflight_ >= params_.max_inflight_global) {
-      break;
-    }
+  while (head_ != kNoSlot && global_slot_free()) {
     // FIFO with a skip scan: the oldest request whose flow has a free slot
     // dispatches; flows at their bound do not block unrelated flows.
-    std::size_t pick = pending_.size();
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (can_dispatch(pending_[i].flow)) {
-        pick = i;
-        break;
-      }
+    std::uint32_t prev = kNoSlot;
+    std::uint32_t pick = head_;
+    while (pick != kNoSlot && !can_dispatch(slots_[pick].flow)) {
+      prev = pick;
+      pick = slots_[pick].next;
     }
-    if (pick == pending_.size()) break;
-    Pending p = std::move(pending_[pick]);
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pick));
-    dispatch_one(std::move(p));
+    if (pick == kNoSlot) break;
+    Slot& slot = slots_[pick];
+    if (prev == kNoSlot) {
+      head_ = slot.next;
+    } else {
+      slots_[prev].next = slot.next;
+    }
+    if (tail_ == pick) tail_ = prev;
+    --queued_;
+    const RequestId id = slot.id;
+    const net::FlowId flow = slot.flow;
+    // The slot is free for reuse during the dispatch; its path moves to
+    // dispatching_ and the slot takes the previous dispatch's buffer.
+    dispatching_.swap(slot.path);
+    free_slots_.push_back(pick);
+    dispatch_one(id, flow, dispatching_);
   }
   pumping_ = false;
 }

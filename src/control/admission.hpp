@@ -21,16 +21,19 @@
 // version order — when version v settles, every older active request of the
 // flow is notified kSuperseded *before* v's own notification (the
 // completion-callback ordering regression test pins this).
+//
+// Storage is flat (DESIGN.md §14): a request parks its path in a recycled
+// slot until the pump dispatches it, and the per-flow in-flight lists are
+// rows addressed by the queue's own FlowIndex.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "control/flow_db.hpp"
 #include "net/flow.hpp"
+#include "net/flow_index.hpp"
 #include "net/paths.hpp"
 #include "p4rt/packet.hpp"
 #include "sim/time.hpp"
@@ -80,8 +83,10 @@ class AdmissionQueue {
 
   [[nodiscard]] const AdmissionParams& params() const { return params_; }
 
-  /// Admits one request; dispatches it now if bounds allow, else queues.
-  RequestId submit(net::FlowId flow, RequestKind kind, net::Path new_path);
+  /// Admits one request: queues a copy of `new_path` and pumps, so it
+  /// dispatches at once when bounds allow.
+  RequestId submit(net::FlowId flow, RequestKind kind,
+                   const net::Path& new_path);
 
   /// Records a request that needs no data-plane transition (instant flow
   /// add / removal of a flow already on its drain path): it settles
@@ -95,7 +100,7 @@ class AdmissionQueue {
                          UpdateOutcome outcome);
 
   // --- stats (bench/churn reads these per run) ---
-  [[nodiscard]] std::size_t queued_now() const { return pending_.size(); }
+  [[nodiscard]] std::size_t queued_now() const { return queued_; }
   [[nodiscard]] std::size_t inflight_now() const { return inflight_; }
   [[nodiscard]] std::size_t queued_peak() const { return queued_peak_; }
   [[nodiscard]] std::size_t inflight_peak() const { return inflight_peak_; }
@@ -104,11 +109,16 @@ class AdmissionQueue {
   [[nodiscard]] std::uint64_t refused_total() const { return refused_; }
 
  private:
-  struct Pending {
+  /// One queued request. Slots are recycled through a free list and keep
+  /// their path's capacity, so parking a request stops allocating once the
+  /// queue has seen its peak depth.
+  struct Slot {
     RequestId id = 0;
     net::FlowId flow = 0;
     net::Path path;
+    std::uint32_t next = kNoSlot;  // FIFO successor
   };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   struct Active {
     RequestId id = 0;
     p4rt::Version version = 0;  // 0 while the controller owes us one
@@ -118,7 +128,17 @@ class AdmissionQueue {
   void finish(RequestId id, RequestState terminal);
   [[nodiscard]] std::size_t flow_inflight(net::FlowId flow) const;
   [[nodiscard]] bool can_dispatch(net::FlowId flow) const;
-  void dispatch_one(Pending p);
+  [[nodiscard]] bool global_slot_free() const {
+    return params_.max_inflight_global == 0 ||
+           inflight_ < params_.max_inflight_global;
+  }
+  /// The in-flight list of the flow interned as `h`.
+  std::vector<Active>& acts_of(net::FlowHandle h) {
+    return active_.row(h, index_.generation(h));
+  }
+  /// Appends a copy of `path` to the FIFO.
+  void enqueue(RequestId id, net::FlowId flow, const net::Path& path);
+  void dispatch_one(RequestId id, net::FlowId flow, const net::Path& path);
   /// Dispatches queued requests while slots are free. Reentrancy-safe:
   /// settles arriving from inside a dispatch defer to the outer pump.
   void pump();
@@ -129,11 +149,26 @@ class AdmissionQueue {
   NotifyFn notify_;
   ClockFn clock_;
 
-  std::deque<Pending> pending_;  // FIFO; coalescing rewrites in place
+  // The FIFO: a singly linked list through slots_, so the skip scan removes
+  // from the middle in O(1) and coalescing rewrites in place.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t head_ = kNoSlot;
+  std::uint32_t tail_ = kNoSlot;
+  std::size_t queued_ = 0;
+  // The path of the request being dispatched, swapped out of its slot so
+  // the slot can be reused by a submit from inside the dispatch. Dispatch
+  // never nests: only the guarded pump dispatches.
+  net::Path dispatching_;
   // Per-flow dispatched-but-unsettled requests, in dispatch order (which is
   // version order: every controller assigns versions monotonically per
-  // flow). Ordered map: iteration stays deterministic if ever needed.
-  std::map<net::FlowId, std::vector<Active>> active_;
+  // flow). Rows of the queue's own index, which never releases a flow, so
+  // an emptied row keeps its capacity.
+  net::FlowIndex index_;
+  net::FlowPool<std::vector<Active>> active_;
+  // Requests a settle resolves, used as a stack: a settle nested inside a
+  // notification pushes above its caller's entries and pops back to them.
+  std::vector<RequestId> resolved_;
   std::size_t inflight_ = 0;
   bool pumping_ = false;
 

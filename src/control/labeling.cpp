@@ -8,6 +8,13 @@ namespace p4u::control {
 
 std::vector<NodeLabel> label_path(const net::Graph& g,
                                   const net::Path& new_path) {
+  std::vector<NodeLabel> labels;
+  label_path_into(labels, g, new_path);
+  return labels;
+}
+
+void label_path_into(std::vector<NodeLabel>& labels, const net::Graph& g,
+                     const net::Path& new_path) {
   // Inline simple-path validation (allocation-free; controller hot path).
   if (new_path.size() < 2) {
     throw std::invalid_argument("label_path: not a simple path");
@@ -23,7 +30,7 @@ std::vector<NodeLabel> label_path(const net::Graph& g,
       throw std::invalid_argument("label_path: non-adjacent hop");
     }
   }
-  std::vector<NodeLabel> labels(new_path.size());
+  labels.assign(new_path.size(), NodeLabel{});
   const auto n = new_path.size();
   for (std::size_t i = 0; i < n; ++i) {
     NodeLabel& l = labels[i];
@@ -38,7 +45,6 @@ std::vector<NodeLabel> label_path(const net::Graph& g,
                        ? -1
                        : g.port_of(new_path[i], new_path[i - 1]);
   }
-  return labels;
 }
 
 p4rt::Distance distance_on_path(const net::Path& p, net::NodeId node) {

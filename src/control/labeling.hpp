@@ -30,6 +30,10 @@ struct NodeLabel {
 /// corrupting valid ones.
 std::vector<NodeLabel> label_path(const net::Graph& g, const net::Path& new_path);
 
+/// label_path into `out`, reusing its capacity.
+void label_path_into(std::vector<NodeLabel>& out, const net::Graph& g,
+                     const net::Path& new_path);
+
 /// Hop distance of `node` to the path's last element, or kNoDistance if the
 /// node is not on the path.
 p4rt::Distance distance_on_path(const net::Path& p, net::NodeId node);

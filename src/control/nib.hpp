@@ -11,7 +11,9 @@
 // flow instead of a hash node, and whole-NIB scans are cache-linear.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -50,6 +52,20 @@ class Nib {
     return views_[handle_of(id)];
   }
 
+  /// The flow's dense handle, or net::kNoFlowHandle when it was never
+  /// recorded. The NIB never releases handles, so controller-side per-flow
+  /// rows keyed by it (DESIGN.md §9) stay valid for the whole run.
+  [[nodiscard]] net::FlowHandle find_handle(net::FlowId id) const {
+    return index_.find(id);
+  }
+  /// As find_handle, but throws std::out_of_range for an unknown flow.
+  [[nodiscard]] net::FlowHandle handle_of(net::FlowId id) const;
+  /// Generation of handle `h`, the stamp net::FlowPool rows keyed by it
+  /// carry.
+  [[nodiscard]] std::uint32_t generation(net::FlowHandle h) const {
+    return index_.generation(h);
+  }
+
   /// Next version for a flow update; versions are globally unique per flow
   /// and strictly increasing (§3).
   p4rt::Version next_version(net::FlowId id) {
@@ -57,9 +73,11 @@ class Nib {
   }
 
   /// Marks an update as deployed in the controller's belief. The belief may
-  /// be wrong — that is the point of the verification experiments.
-  void believe_path(net::FlowId id, net::Path p) {
-    views_[handle_of(id)].believed_path = std::move(p);
+  /// be wrong — that is the point of the verification experiments. Copies
+  /// into the view's own path, reusing its capacity.
+  void believe_path(net::FlowId id, std::span<const net::NodeId> p) {
+    net::Path& believed = views_[handle_of(id)].believed_path;
+    believed.assign(p.begin(), p.end());
   }
 
   [[nodiscard]] std::size_t flow_count() const { return index_.size(); }
@@ -74,13 +92,44 @@ class Nib {
   [[nodiscard]] double believed_residual(net::NodeId from, net::NodeId to) const;
 
  private:
-  [[nodiscard]] net::FlowHandle handle_of(net::FlowId id) const;
-
   const net::Graph* graph_;
   net::FlowIndex index_;
   // Dense by handle; the NIB never releases handles, so rows_[h] is live
   // exactly when h < index_.slot_count().
   std::vector<FlowView> views_;
+};
+
+/// Per-flow rows addressed by a Nib's handles: the controller-side home of
+/// per-flow state beside the NIB (DESIGN.md §9). A net::FlowPool stamped
+/// with the NIB's generations; the NIB never releases a handle, so a row
+/// belongs to one flow for the whole run. Rows are created on first use.
+template <typename Row>
+class FlowRows {
+ public:
+  /// The flow's row, created on first use; throws for a flow the NIB does
+  /// not know.
+  Row& at(const Nib& nib, net::FlowId id) {
+    const net::FlowHandle h = nib.handle_of(id);
+    return pool_.row(h, nib.generation(h));
+  }
+  /// The flow's row, or nullptr when it has none yet.
+  [[nodiscard]] const Row* find(const Nib& nib, net::FlowId id) const {
+    const net::FlowHandle h = nib.find_handle(id);
+    if (h == net::kNoFlowHandle || !pool_.set(h, nib.generation(h))) {
+      return nullptr;
+    }
+    return &pool_.get(h, nib.generation(h));
+  }
+  [[nodiscard]] Row* find(const Nib& nib, net::FlowId id) {
+    const net::FlowHandle h = nib.find_handle(id);
+    if (h == net::kNoFlowHandle || !pool_.set(h, nib.generation(h))) {
+      return nullptr;
+    }
+    return &pool_.row(h, nib.generation(h));
+  }
+
+ private:
+  net::FlowPool<Row> pool_;
 };
 
 }  // namespace p4u::control

@@ -15,6 +15,13 @@ bool Segmentation::all_forward() const {
 
 Segmentation segment_paths(const net::Path& old_path,
                            const net::Path& new_path) {
+  Segmentation out;
+  segment_paths_into(out, old_path, new_path);
+  return out;
+}
+
+void segment_paths_into(Segmentation& out, const net::Path& old_path,
+                        const net::Path& new_path) {
   if (old_path.size() < 2 || new_path.size() < 2) {
     throw std::invalid_argument("segment_paths: degenerate path");
   }
@@ -23,8 +30,9 @@ Segmentation segment_paths(const net::Path& old_path,
     throw std::invalid_argument("segment_paths: endpoints differ");
   }
 
-  Segmentation out;
-  out.gateways.reserve(new_path.size());
+  out.gateways.clear();
+  out.gateways.reserve(new_path.size());  // no-op once the buffer is warm
+  out.changed_rules = 0;
   for (net::NodeId n : new_path) {
     // Linear membership: paths are short; avoids set allocations on the
     // controller's hot path (Fig. 8 measures this).
@@ -38,6 +46,7 @@ Segmentation segment_paths(const net::Path& old_path,
   // they still delimit a (possibly trivial) segment; trivial segments with
   // identical old/new next hops are skipped.
   std::size_t pos = 0;
+  std::size_t count = 0;
   for (std::size_t gi = 0; gi + 1 < out.gateways.size(); ++gi) {
     const net::NodeId from = out.gateways[gi];
     const net::NodeId to = out.gateways[gi + 1];
@@ -46,7 +55,10 @@ Segmentation segment_paths(const net::Path& old_path,
     std::size_t end = pos + 1;
     while (new_path[end] != to) ++end;
 
-    Segment s;
+    // Segments past the previous call's count are new; the rest reuse
+    // their node buffers.
+    if (count == out.segments.size()) out.segments.emplace_back();
+    Segment& s = out.segments[count++];
     s.ingress_gateway = from;
     s.egress_gateway = to;
     s.nodes.assign(new_path.begin() + static_cast<long>(pos),
@@ -54,9 +66,9 @@ Segmentation segment_paths(const net::Path& old_path,
     const p4rt::Distance d_from = distance_on_path(old_path, from);
     const p4rt::Distance d_to = distance_on_path(old_path, to);
     s.forward = d_to < d_from;
-    out.segments.push_back(std::move(s));
     pos = end;
   }
+  out.segments.resize(count);
 
   // Count rule changes: a node's rule changes if its successor on P_n
   // differs from its successor on P_o (or it had none).
@@ -72,7 +84,6 @@ Segmentation segment_paths(const net::Path& old_path,
     }
     if (old_succ != new_succ) ++out.changed_rules;
   }
-  return out;
 }
 
 p4rt::UpdateType choose_update_type(const Segmentation& seg,

@@ -37,6 +37,12 @@ struct Segmentation {
 /// update. Both paths must share first (ingress) and last (egress) nodes.
 Segmentation segment_paths(const net::Path& old_path, const net::Path& new_path);
 
+/// segment_paths into `out`, reusing its buffers: a controller that keeps
+/// one Segmentation allocates only when an update has more segments, or
+/// longer ones, than any before it.
+void segment_paths_into(Segmentation& out, const net::Path& old_path,
+                        const net::Path& new_path);
+
 /// §7.5 deployment rule: single-layer when the update only has forward
 /// segments and installs new rules on at most `sl_node_budget` nodes;
 /// dual-layer otherwise.

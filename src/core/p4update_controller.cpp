@@ -35,10 +35,19 @@ p4rt::Version P4UpdateController::deploy_new_flow(const net::Flow& f,
 P4UpdateController::Prepared P4UpdateController::prepare(
     net::FlowId flow, const net::Path& new_path, p4rt::Version version,
     std::optional<p4rt::UpdateType> type_override) const {
-  const control::FlowView& view = nib_.view(flow);
   Prepared out;
+  std::vector<control::NodeLabel> labels;
+  prepare_into(out, labels, flow, new_path, version, type_override);
+  return out;
+}
+
+void P4UpdateController::prepare_into(
+    Prepared& out, std::vector<control::NodeLabel>& labels, net::FlowId flow,
+    const net::Path& new_path, p4rt::Version version,
+    std::optional<p4rt::UpdateType> type_override) const {
+  const control::FlowView& view = nib_.view(flow);
   out.version = version;
-  out.segmentation = control::segment_paths(view.believed_path, new_path);
+  control::segment_paths_into(out.segmentation, view.believed_path, new_path);
 
   p4rt::UpdateType type = type_override.value_or(
       params_.force_type.value_or(control::choose_update_type(
@@ -47,9 +56,9 @@ P4UpdateController::Prepared P4UpdateController::prepare(
   // on). The controller knows what it last issued for this flow.
   if (type == p4rt::UpdateType::kDualLayer && !params_.allow_consecutive_dual &&
       !params_.force_type.has_value() && !type_override.has_value()) {
-    auto it = last_issued_type_.find(flow);
-    if (it != last_issued_type_.end() &&
-        it->second == p4rt::UpdateType::kDualLayer) {
+    const FlowRow* issued = flow_rows_.find(nib_, flow);
+    if (issued != nullptr &&
+        issued->last_type == p4rt::UpdateType::kDualLayer) {
       type = p4rt::UpdateType::kSingleLayer;
     }
   }
@@ -68,7 +77,8 @@ P4UpdateController::Prepared P4UpdateController::prepare(
     return false;
   };
 
-  const auto labels = control::label_path(nib_.graph(), new_path);
+  control::label_path_into(labels, nib_.graph(), new_path);
+  out.uims.clear();
   out.uims.reserve(labels.size());
   // Egress first: its UIM starts the notification chain, so putting it at
   // the head of the controller's send queue minimizes the serialized
@@ -90,7 +100,6 @@ P4UpdateController::Prepared P4UpdateController::prepare(
     uim.flow_size = view.flow.size;
     out.uims.push_back(uim);
   }
-  return out;
 }
 
 p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
@@ -102,7 +111,8 @@ p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
   // preflight (if any) passes.
   const bool timed = params_.measure_prep_wallclock;
   const auto t0 = timed ? PrepClock::now() : PrepClock::time_point{};
-  Prepared prepared = prepare(flow, new_path, nib_.view(flow).version + 1);
+  prepare_into(prepared_, labels_, flow, new_path,
+               nib_.view(flow).version + 1, std::nullopt);
   if (timed) {
     const auto t1 = PrepClock::now();
     obs::resolve_once(prep_ms_, [this] {
@@ -114,7 +124,7 @@ p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
     // lattice matches the UIMs about to go out.
     verify::fill_p4update_plan(preflight_plan_, flow,
                                nib_.view(flow).believed_path, new_path,
-                               prepared.segmentation, prepared.type);
+                               prepared_.segmentation, prepared_.type);
     const verify::Verdict verdict =
         verify::verify_plan(preflight_plan_, preflight_ws_);
     if (verdict.safe()) {
@@ -129,8 +139,8 @@ p4rt::Version P4UpdateController::schedule_update(net::FlowId flow,
     }
   }
   const p4rt::Version version = begin_update(flow, new_path);
-  last_issued_type_[flow] = prepared.type;
-  for (const p4rt::UimHeader& uim : prepared.uims) {
+  flow_row(flow).last_type = prepared_.type;
+  for (const p4rt::UimHeader& uim : prepared_.uims) {
     channel_.send_to_switch(uim.target, p4rt::Packet{uim});
   }
   track_update(flow, version);
@@ -175,8 +185,8 @@ p4rt::Version P4UpdateController::schedule_tree_update(
     uims.push_back(std::move(uim));
   }
 
-  last_issued_type_[flow] = p4rt::UpdateType::kSingleLayer;
-  expected_ufms_[{flow, version}] = leaves;
+  flow_row(flow).last_type = p4rt::UpdateType::kSingleLayer;
+  tree_waves_.push_back(TreeWave{flow, version, leaves});
   nib_.view(flow).update_in_progress = true;
   flow_db_.on_issued(flow, version, channel_.now());
   // Root first (labels are BFS order): it starts the wave.
@@ -194,10 +204,13 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
     if (ufm.success) {
       // Tree updates complete when every leaf reported; path updates expect
       // exactly one UFM (the ingress).
-      const auto exp = expected_ufms_.find({ufm.flow, ufm.version});
-      if (exp != expected_ufms_.end()) {
-        if (--exp->second > 0) return;
-        expected_ufms_.erase(exp);
+      const auto wave = std::find_if(
+          tree_waves_.begin(), tree_waves_.end(), [&ufm](const TreeWave& w) {
+            return w.flow == ufm.flow && w.version == ufm.version;
+          });
+      if (wave != tree_waves_.end()) {
+        if (--wave->remaining > 0) return;
+        tree_waves_.erase(wave);
       }
       complete(ufm.flow, ufm.version);
       // The record's duration is final once completed, whatever the settle
@@ -216,12 +229,17 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
       // want, re-send its UIMs — the egress re-generates the UNM chain and
       // Alg. 1/2 re-run idempotently.
       if (params_.enable_retrigger &&
-          ufm.alarm == p4rt::AlarmCode::kMalformed) {
-        const auto key = std::make_pair(ufm.flow, ufm.version);
-        if (issued_path(ufm.flow, ufm.version) != nullptr &&
-            nib_.view(ufm.flow).version == ufm.version &&
-            retriggers_[key] < kMaxRetriggers) {
-          ++retriggers_[key];
+          ufm.alarm == p4rt::AlarmCode::kMalformed &&
+          !issued_path(ufm.flow, ufm.version).empty() &&
+          nib_.view(ufm.flow).version == ufm.version) {
+        FlowRow& counts = flow_row(ufm.flow);
+        if (counts.retrigger_version != ufm.version) {
+          counts.retrigger_version = ufm.version;
+          counts.retriggers = 0;
+        }
+        if (counts.retriggers < kMaxRetriggers) {
+          ++counts.retriggers;
+          ++retriggers_total_;
           ctrl_counter(retriggers_counter_, "ctrl.retriggers").inc();
           resend(ufm.flow, ufm.version);
         }
@@ -236,17 +254,15 @@ void P4UpdateController::handle_from_switch(net::NodeId from,
 }
 
 void P4UpdateController::resend(net::FlowId flow, p4rt::Version version) {
-  const net::Path* path = issued_path(flow, version);
-  if (path == nullptr) return;
+  const auto path = issued_path(flow, version);
+  if (path.empty()) return;
+  resend_path_.assign(path.begin(), path.end());
   // Keep the originally decided type: Alg. 1/2 re-run idempotently on
   // switches that already applied, and the rest pick the update up.
-  const auto type_it = last_issued_type_.find(flow);
-  const Prepared again =
-      prepare(flow, *path, version,
-              type_it == last_issued_type_.end()
-                  ? std::nullopt
-                  : std::optional<p4rt::UpdateType>(type_it->second));
-  for (const p4rt::UimHeader& uim : again.uims) {
+  const FlowRow* issued = flow_rows_.find(nib_, flow);
+  prepare_into(prepared_, labels_, flow, resend_path_, version,
+               issued != nullptr ? issued->last_type : std::nullopt);
+  for (const p4rt::UimHeader& uim : prepared_.uims) {
     channel_.send_to_switch(uim.target, p4rt::Packet{uim});
   }
 }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -87,7 +86,8 @@ class P4UpdateController final : public faults::RecoveringController {
   /// `flow` onto `new_path`, against the controller's believed old path.
   /// Does not mutate controller state (Fig. 8 measures this).
   /// `type_override` bypasses the §7.5 strategy (used when re-sending a
-  /// version that was already issued with a decided type).
+  /// version that was already issued with a decided type). Issuing runs the
+  /// same preparation into buffers the controller reuses.
   [[nodiscard]] Prepared prepare(
       net::FlowId flow, const net::Path& new_path, p4rt::Version version,
       std::optional<p4rt::UpdateType> type_override = std::nullopt) const;
@@ -123,6 +123,28 @@ class P4UpdateController final : public faults::RecoveringController {
   std::function<void(const p4rt::FrmHeader&)> on_frm;
 
  private:
+  /// The one preparation: fills `out` (and the `labels` scratch), reusing
+  /// both buffers' capacity.
+  void prepare_into(Prepared& out, std::vector<control::NodeLabel>& labels,
+                    net::FlowId flow, const net::Path& new_path,
+                    p4rt::Version version,
+                    std::optional<p4rt::UpdateType> type_override) const;
+  /// Per-flow protocol state, addressed by the NIB's handle.
+  struct FlowRow {
+    std::optional<p4rt::UpdateType> last_type;  // what was last issued
+    // §11 re-triggers of `retrigger_version`. Only the flow's newest version
+    // is ever re-triggered, so one counter per flow covers every version.
+    p4rt::Version retrigger_version = 0;
+    int retriggers = 0;
+  };
+  FlowRow& flow_row(net::FlowId flow) { return flow_rows_.at(nib_, flow); }
+  /// A destination-tree update still waiting for leaf UFMs.
+  struct TreeWave {
+    net::FlowId flow = 0;
+    p4rt::Version version = 0;
+    int remaining = 0;
+  };
+
   // --- recovery hooks (faults::RecoveringController) ---
   /// Re-sends the UIMs of an already-issued (flow, version), keeping the
   /// originally decided update type (shared by §11 retrigger and the
@@ -138,10 +160,15 @@ class P4UpdateController final : public faults::RecoveringController {
   void redeploy(net::FlowId flow, net::NodeId node) override;
 
   P4UpdateControllerParams params_;
-  std::map<net::FlowId, p4rt::UpdateType> last_issued_type_;
-  std::map<std::pair<net::FlowId, p4rt::Version>, int> retriggers_;
-  // Tree updates complete when every leaf reported (default expectation: 1).
-  std::map<std::pair<net::FlowId, p4rt::Version>, int> expected_ufms_;
+  control::FlowRows<FlowRow> flow_rows_;
+  std::uint64_t retriggers_total_ = 0;
+  // Tree updates complete when every leaf reported; a path update expects
+  // exactly one UFM and has no wave here.
+  std::vector<TreeWave> tree_waves_;
+  // Preparation buffers reused by every issue and resend.
+  Prepared prepared_;
+  std::vector<control::NodeLabel> labels_;
+  net::Path resend_path_;
   // The static preflight's plan and lattice scratch, reused by every update.
   verify::FlowPlan preflight_plan_;
   verify::LatticeWorkspace preflight_ws_;
@@ -158,11 +185,7 @@ class P4UpdateController final : public faults::RecoveringController {
  public:
   /// Number of §11 re-triggers performed (tests/benches).
   [[nodiscard]] std::uint64_t retriggers_sent() const {
-    std::uint64_t n = 0;
-    for (const auto& [key, count] : retriggers_) {
-      n += static_cast<std::uint64_t>(count);
-    }
-    return n;
+    return retriggers_total_;
   }
 };
 

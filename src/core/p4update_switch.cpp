@@ -28,16 +28,7 @@ const char* alarm_code_name(AlarmCode code) {
 
 P4UpdateSwitch::P4UpdateSwitch(net::NodeId id, const net::Graph& graph,
                                P4UpdateSwitchParams params)
-    : id_(id), graph_(&graph), params_(params), scheduler_(graph, id) {
-  if (params_.expected_flows > 0) {
-    uib_.reserve(params_.expected_flows);
-    reported_flows_.reserve(params_.expected_flows);
-    completed_version_.reserve(params_.expected_flows);
-    ingress_old_port_.reserve(params_.expected_flows);
-    stamps_.reserve(params_.expected_flows);
-    watchdog_gen_.reserve(params_.expected_flows);
-  }
-}
+    : id_(id), graph_(&graph), params_(params), scheduler_(graph, id) {}
 
 void P4UpdateSwitch::on_crash(SwitchDevice& sw) {
   (void)sw;  // the device already wiped its forwarding table
@@ -272,9 +263,13 @@ void P4UpdateSwitch::handle_uim(SwitchDevice& sw, const p4rt::UimHeader& uim) {
     unm.layer = UnmLayer::kIntraSegment;
     unm.from = id_;
     ++unms_sent_;
-    sw.fabric().trace().add({sw.now(), TraceKind::kMessageSent, id_, uim.flow,
+    // Notes past the 15-byte inline string allocate: build them only when
+    // tracing is on.
+    sw.fabric().trace().add_lazy([&] {
+      return sim::TraceEntry{sw.now(), TraceKind::kMessageSent, id_, uim.flow,
                              unm.new_version, unm.old_distance,
-                             "intra-segment UNM"});
+                             "intra-segment UNM"};
+    });
     sw.clone_to_port(Packet{unm}, uim.child_port);
   }
 }
@@ -292,8 +287,10 @@ void P4UpdateSwitch::apply_egress(SwitchDevice& sw,
   next.ever_dual = uim.type == UpdateType::kDualLayer;
   uib_.write_applied(uim.flow, next);
   count_verify(sw, VerifyOutcome::kAccept);
-  sw.fabric().trace().add({sw.now(), TraceKind::kVerifyAccepted, id_, uim.flow,
-                           uim.version, 0, "egress direct apply"});
+  sw.fabric().trace().add_lazy([&] {
+    return sim::TraceEntry{sw.now(), TraceKind::kVerifyAccepted, id_, uim.flow,
+                           uim.version, 0, "egress direct apply"};
+  });
   const FlowId f = uim.flow;
   const p4rt::UimHeader u = uim;
   const bool quick =

@@ -36,9 +36,6 @@ struct P4UpdateSwitchParams {
   /// by then, it alarms the controller (which may re-trigger the update).
   /// 0 disables the watchdog.
   sim::Duration uim_watchdog = 0;
-  /// Pre-sizes the per-flow state (UIB registers, scratch pools) so a
-  /// scale campaign's bring-up never rehashes. 0 = grow on demand.
-  std::size_t expected_flows = 0;
 };
 
 class P4UpdateSwitch final : public p4rt::Pipeline {

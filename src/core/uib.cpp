@@ -2,19 +2,6 @@
 
 namespace p4u::core {
 
-void Uib::reserve(std::size_t expected_flows) {
-  index_.reserve(expected_flows);
-  new_distance_.reserve(expected_flows);
-  new_version_.reserve(expected_flows);
-  old_distance_.reserve(expected_flows);
-  old_version_.reserve(expected_flows);
-  flow_size_.reserve(expected_flows);
-  flow_priority_.reserve(expected_flows);
-  t_.reserve(expected_flows);
-  counter_.reserve(expected_flows);
-  pending_.reserve(expected_flows);
-}
-
 AppliedState Uib::applied(FlowId f) const {
   // One flow-id resolution, then per-register pool hits. Each register
   // access still counts individually — the exported uib.register_reads

@@ -54,9 +54,6 @@ struct AppliedState {
 /// The index is shared with the P4UpdateSwitch's per-flow scratch pools.
 class Uib {
  public:
-  /// Pre-sizes the flow index and every register pool; steady-state
-  /// interning then never rehashes (scale campaigns know the flow count).
-  void reserve(std::size_t expected_flows);
   // ---- applied state ----
   [[nodiscard]] AppliedState applied(FlowId f) const;
   void write_applied(FlowId f, const AppliedState& s);

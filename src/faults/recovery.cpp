@@ -7,7 +7,8 @@
 
 namespace p4u::faults {
 
-bool HealthView::path_ok(const net::Graph& g, const net::Path& path) const {
+bool HealthView::path_ok(const net::Graph& g,
+                         std::span<const net::NodeId> path) const {
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (!node_ok(path[i])) return false;
     if (i + 1 < path.size()) {
@@ -18,11 +19,13 @@ bool HealthView::path_ok(const net::Graph& g, const net::Path& path) const {
   return true;
 }
 
-bool HealthView::path_uses_node(const net::Path& path, net::NodeId n) {
+bool HealthView::path_uses_node(std::span<const net::NodeId> path,
+                                net::NodeId n) {
   return std::find(path.begin(), path.end(), n) != path.end();
 }
 
-bool HealthView::path_uses_link(const net::Graph& g, const net::Path& path,
+bool HealthView::path_uses_link(const net::Graph& g,
+                                std::span<const net::NodeId> path,
                                 net::LinkId l) {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const auto hop = g.find_link(path[i], path[i + 1]);
@@ -54,7 +57,12 @@ void RecoveringController::register_flow(const net::Flow& f,
 p4rt::Version RecoveringController::begin_update(net::FlowId flow,
                                                  const net::Path& path) {
   const p4rt::Version v = nib_.next_version(flow);
-  issued_paths_[{flow, v}] = path;
+  FlowRow& r = row(flow);
+  const std::uint32_t i = issued_.append();
+  issued_[i].version = v;
+  issued_[i].older = r.newest_issued;
+  issued_[i].path.assign(path.begin(), path.end());
+  r.newest_issued = i;
   nib_.view(flow).update_in_progress = true;
   // Issue timestamp is "now" at the controller; the ControlChannel
   // serializes the actual sends (update time is measured from the sending
@@ -63,10 +71,17 @@ p4rt::Version RecoveringController::begin_update(net::FlowId flow,
   return v;
 }
 
-const net::Path* RecoveringController::issued_path(net::FlowId flow,
-                                                   p4rt::Version v) const {
-  const auto it = issued_paths_.find({flow, v});
-  return it == issued_paths_.end() ? nullptr : &it->second;
+std::span<const net::NodeId> RecoveringController::issued_path(
+    net::FlowId flow, p4rt::Version v) const {
+  const FlowRow* r = rows_.find(nib_, flow);
+  // Versions strictly increase along a flow's chain: stop once past `v`.
+  for (std::uint32_t i = r != nullptr ? r->newest_issued : kNoIssued;
+       i != kNoIssued && issued_[i].version >= v; i = issued_[i].older) {
+    if (issued_[i].version == v) {
+      return {issued_[i].path.begin(), issued_[i].path.size()};
+    }
+  }
+  return {};
 }
 
 obs::Counter& RecoveringController::ctrl_counter(obs::Counter& handle,
@@ -77,14 +92,14 @@ obs::Counter& RecoveringController::ctrl_counter(obs::Counter& handle,
 
 void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
   flow_db_.on_completed(flow, v, channel_.now());
-  if (const net::Path* path = issued_path(flow, v)) {
-    nib_.believe_path(flow, *path);
+  if (const auto path = issued_path(flow, v); !path.empty()) {
+    nib_.believe_path(flow, path);
   }
   nib_.view(flow).update_in_progress = false;
   // Completion disarms the timer (a timer for a newer version stays armed:
   // its RetryState carries that version).
-  const auto rit = retry_.find(flow);
-  if (rit != retry_.end() && rit->second.version == v) retry_.erase(rit);
+  RetryState& retry = row(flow).retry;
+  if (retry.version == v) retry = RetryState{};
   if (on_complete) on_complete(flow, v, channel_.now());
   if (on_settled) {
     on_settled(flow, v, control::UpdateOutcome::kCompleted, channel_.now());
@@ -93,17 +108,17 @@ void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
 
 void RecoveringController::untrack(net::FlowId flow) {
   nib_.view(flow).update_in_progress = false;
-  retry_.erase(flow);
+  row(flow).retry = RetryState{};
 }
 
 void RecoveringController::track_update(net::FlowId flow, p4rt::Version v) {
   if (!recovery_.enabled) return;
-  retry_[flow] = RetryState{v, 0, ++retry_gen_};
+  row(flow).retry = RetryState{v, 0, ++retry_gen_};
   arm_retry_timer(flow);
 }
 
 void RecoveringController::arm_retry_timer(net::FlowId flow) {
-  const RetryState& rs = retry_.at(flow);
+  const RetryState& rs = row(flow).retry;
   channel_.simulator().schedule_in(
       kInitialTimeout << rs.attempts,
       [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
@@ -111,9 +126,9 @@ void RecoveringController::arm_retry_timer(net::FlowId flow) {
 
 void RecoveringController::on_retry_timer(net::FlowId flow,
                                           std::uint64_t gen) {
-  auto it = retry_.find(flow);
-  if (it == retry_.end() || it->second.gen != gen) return;  // superseded
-  RetryState& rs = it->second;
+  // Generations start at 1, so a cleared RetryState never matches.
+  RetryState& rs = row(flow).retry;
+  if (rs.gen != gen) return;  // superseded
   const p4rt::Version v = rs.version;
   if (rs.attempts >= kMaxRetries) {
     // Rolled back when the previously installed path is believed healthy
@@ -157,7 +172,7 @@ void RecoveringController::handle_link_state(net::LinkId link, net::NodeId a,
   if (!recovery_.enabled) return;
   if (!up) {
     const net::Graph& g = nib_.graph();
-    repair_around([&g, link](const net::Path& p) {
+    repair_around([&g, link](std::span<const net::NodeId> p) {
       return HealthView::path_uses_link(g, p, link);
     });
   } else {
@@ -173,7 +188,7 @@ void RecoveringController::handle_switch_state(net::NodeId node, bool up) {
   }
   if (!recovery_.enabled) return;
   if (!up) {
-    repair_around([node](const net::Path& p) {
+    repair_around([node](std::span<const net::NodeId> p) {
       return HealthView::path_uses_node(p, node);
     });
   } else {
@@ -182,7 +197,7 @@ void RecoveringController::handle_switch_state(net::NodeId node, bool up) {
 }
 
 void RecoveringController::repair_around(
-    const std::function<bool(const net::Path&)>& hits) {
+    const std::function<bool(std::span<const net::NodeId>)>& hits) {
   const net::Graph& g = nib_.graph();
   std::vector<net::FlowId> abandoned;
   for (const net::FlowId flow : nib_.sorted_flow_ids()) {
@@ -191,11 +206,12 @@ void RecoveringController::repair_around(
     if (view.update_in_progress) {
       // Repair only when the update's *target* crosses the dead element;
       // an update moving away from it is already the repair.
-      const auto rit = retry_.find(flow);
-      const p4rt::Version v =
-          rit != retry_.end() ? rit->second.version : view.version;
-      const net::Path* target = issued_path(flow, v);
-      if (target == nullptr || !hits(*target)) continue;
+      const FlowRow* r = rows_.find(nib_, flow);
+      const p4rt::Version v = r != nullptr && r->retry.version != 0
+                                  ? r->retry.version
+                                  : view.version;
+      const auto target = issued_path(flow, v);
+      if (target.empty() || !hits(target)) continue;
       doomed = v;
     } else if (!hits(view.believed_path)) {
       continue;
@@ -234,10 +250,10 @@ void RecoveringController::reissue_after_recovery(
          hist.back().outcome == control::UpdateOutcome::kAbandoned);
     if (settled_short) {
       // First choice: the update we actually wanted, if it is viable now.
-      const net::Path* wanted = issued_path(flow, hist.back().version);
-      if (wanted != nullptr && health_.path_ok(g, *wanted)) {
+      const auto wanted = issued_path(flow, hist.back().version);
+      if (!wanted.empty() && health_.path_ok(g, wanted)) {
         ctrl_counter(reissues_, "ctrl.recovery_reissues").inc();
-        schedule_update(flow, *wanted);
+        schedule_update(flow, net::Path(wanted.begin(), wanted.end()));
         continue;
       }
       // Otherwise get the flow off a still-dead installed path if possible.

@@ -3,7 +3,7 @@
 // how they update and not in how they survive the failure domain.
 //
 //   - RecoveringController: the shared base. It owns the NIB, the FlowDb,
-//     the issued (flow, version) -> path map, the completion timers with
+//     the path of every issued (flow, version), the completion timers with
 //     exponential backoff and a retry cap, and the repair and re-issue
 //     scans that run on link and switch state changes. A controller keeps
 //     only its protocol plus four hooks: resend, cancel-inflight, pump-next
@@ -20,17 +20,19 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "control/flow_db.hpp"
 #include "control/nib.hpp"
 #include "net/graph.hpp"
 #include "net/paths.hpp"
 #include "p4rt/control_channel.hpp"
+#include "sim/append_log.hpp"
+#include "sim/small_vec.hpp"
 #include "sim/time.hpp"
 
 namespace p4u::faults {
@@ -64,14 +66,15 @@ class HealthView {
   }
 
   /// True when every node and every hop of `path` is believed alive.
-  [[nodiscard]] bool path_ok(const net::Graph& g, const net::Path& path) const;
+  [[nodiscard]] bool path_ok(const net::Graph& g,
+                             std::span<const net::NodeId> path) const;
 
   /// True when `path` traverses the given element (node `n`, or the link
   /// between `a` and `b`).
-  [[nodiscard]] static bool path_uses_node(const net::Path& path,
+  [[nodiscard]] static bool path_uses_node(std::span<const net::NodeId> path,
                                            net::NodeId n);
   [[nodiscard]] static bool path_uses_link(const net::Graph& g,
-                                           const net::Path& path,
+                                           std::span<const net::NodeId> path,
                                            net::LinkId l);
 
   /// Shortest path src -> dst through believed-healthy elements only;
@@ -166,9 +169,10 @@ class RecoveringController : public p4rt::ControllerApp {
   /// Forgets the flow's in-flight update: the flow reads idle and its
   /// completion timer is dropped.
   void untrack(net::FlowId flow);
-  /// The path (flow, v) was issued for; nullptr when none was.
-  [[nodiscard]] const net::Path* issued_path(net::FlowId flow,
-                                             p4rt::Version v) const;
+  /// The path (flow, v) was issued for; empty when none was. The view stays
+  /// valid for the controller's life.
+  [[nodiscard]] std::span<const net::NodeId> issued_path(
+      net::FlowId flow, p4rt::Version v) const;
   /// `handle`, resolved on first use to the run's unlabeled counter `name`
   /// (obs::resolve_once): per-event code keeps one handle per counter.
   obs::Counter& ctrl_counter(obs::Counter& handle, const char* name);
@@ -194,17 +198,37 @@ class RecoveringController : public p4rt::ControllerApp {
   /// A believed-dead element took out paths: supersede affected in-flight
   /// updates and reroute affected idle flows. `hits(path)` says whether a
   /// path crosses the element.
-  void repair_around(const std::function<bool(const net::Path&)>& hits);
+  void repair_around(
+      const std::function<bool(std::span<const net::NodeId>)>& hits);
   /// A restarted element came back: re-issue updates that settled without
   /// completing, and re-deploy believed paths across a restarted switch
   /// (its Table 1 registers and rules were wiped).
   void reissue_after_recovery(std::optional<net::NodeId> restarted);
 
+  static constexpr std::uint32_t kNoIssued = 0xFFFFFFFFu;
+  /// One issued (flow, version) and its path (inline up to 8 nodes, which
+  /// covers every fat-tree path).
+  struct IssuedPath {
+    p4rt::Version version = 0;
+    std::uint32_t older = kNoIssued;  // the flow's previous entry
+    sim::SmallVec<net::NodeId, 8> path;
+  };
+  /// Per-flow lifecycle row.
+  struct FlowRow {
+    RetryState retry;  // version 0: no live completion timer
+    std::uint32_t newest_issued = kNoIssued;
+  };
+  FlowRow& row(net::FlowId flow) { return rows_.at(nib_, flow); }
+
   RecoveryParams recovery_;
   HealthView health_;
-  std::map<net::FlowId, RetryState> retry_;
+  control::FlowRows<FlowRow> rows_;
   std::uint64_t retry_gen_ = 0;
-  std::map<std::pair<net::FlowId, p4rt::Version>, net::Path> issued_paths_;
+  // Append-only: every issued version keeps its path, because a late
+  // completion, a retrigger or a re-issue may ask for any of them. Each
+  // flow's entries chain newest first, and lookups almost always want the
+  // newest, so a lookup is one or two steps.
+  sim::AppendLog<IssuedPath, 256> issued_;
   obs::Counter resends_;
   obs::Counter repairs_;
   obs::Counter stranded_;

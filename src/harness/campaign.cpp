@@ -1,5 +1,7 @@
 #include "harness/campaign.hpp"
 
+#include <stdlib.h>  // mkdtemp (POSIX)
+
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -208,10 +210,6 @@ RunOutcome run_scale_job(const RunSpec& spec, std::uint64_t seed) {
   params.trace_enabled = false;
   params.measure_prep_wallclock = false;
   params.expected_flows = spec.scale_flows;
-  // Per-switch residency: total hop-slots / switches, with headroom. The
-  // hint only pre-sizes pools; undershoot costs a few grows, not wrongness.
-  params.expected_flows_per_switch =
-      spec.scale_flows * 12 / std::max<std::size_t>(g.node_count(), 1);
   const auto strategy = install_strategy(spec, params, seed);
   TestBed bed(g, params);
 
@@ -479,16 +477,37 @@ const char* JobsGate::json() const {
   return identical ? "true" : "false";
 }
 
+std::string make_unique_dir(const std::string& base,
+                            const std::string& prefix) {
+  std::string path =
+      (std::filesystem::path(base) / (prefix + "_XXXXXX")).string();
+  if (mkdtemp(path.data()) == nullptr) {
+    throw std::runtime_error("make_unique_dir: cannot create " + path);
+  }
+  return path;
+}
+
 JobsGate run_jobs_gate(
     const Campaign& campaign, int jobs, std::string report_root,
     const std::string& run_name,
     const std::vector<std::pair<std::string, std::string>>& meta) {
-  if (report_root.empty()) {
-    report_root = (std::filesystem::temp_directory_path() /
-                   ("p4u_" + run_name + "_reports"))
-                      .string();
+  // Without a report root the reports only feed the gate: they go to a
+  // directory of this process's own, which is removed again unless the
+  // gate failed and the two differing reports are worth a look.
+  const bool temporary = report_root.empty();
+  if (temporary) {
+    report_root = make_unique_dir(
+        std::filesystem::temp_directory_path().string(),
+        "p4u_" + run_name + "_reports");
   }
   JobsGate gate;
+  const auto discard_temporary = [&] {
+    if (!temporary) return;
+    std::filesystem::remove_all(report_root);
+    gate.serial_report.clear();
+    gate.parallel_report.clear();
+    std::printf("(temporary reports removed; --out keeps them)\n");
+  };
   gate.jobs = jobs > 0 ? jobs : 4;
   gate.results = campaign.run(1);
   gate.serial_report = write_campaign_report(report_root + "/jobs1",
@@ -496,6 +515,7 @@ JobsGate run_jobs_gate(
   if (gate.jobs == 1) {
     std::printf("report: %s (one worker: --jobs gate not run)\n",
                 gate.serial_report.c_str());
+    discard_temporary();
     return gate;
   }
   gate.ran = true;
@@ -506,6 +526,7 @@ JobsGate run_jobs_gate(
   std::printf("reports: %s vs %s -> %s\n", gate.serial_report.c_str(),
               gate.parallel_report.c_str(),
               gate.identical ? "byte-identical" : "DIFFERENT");
+  if (gate.identical) discard_temporary();
   return gate;
 }
 

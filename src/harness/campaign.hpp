@@ -166,12 +166,19 @@ std::string write_campaign_report(
     const std::vector<std::pair<std::string, std::string>>& meta,
     const std::vector<SpecResult>& results);
 
+/// Creates a new directory `<base>/<prefix>_XXXXXX` whose suffix no other
+/// process holds (mkdtemp) and returns its path; throws std::runtime_error
+/// when it cannot. Concurrent runs on one host never share it.
+[[nodiscard]] std::string make_unique_dir(const std::string& base,
+                                          const std::string& prefix);
+
 /// Outcome of run_jobs_gate.
 struct JobsGate {
   std::vector<SpecResult> results;  // the one-worker merge
   int jobs = 1;                     // worker count of the second run
   bool ran = false;                 // false: one worker, nothing compared
   bool identical = false;           // the two reports match byte for byte
+  // Empty when the reports were temporary and removed (run_jobs_gate).
   std::string serial_report;        // <root>/jobs1/<run_name>.jsonl
   std::string parallel_report;      // <root>/jobs<N>/...; empty if !ran
 
@@ -190,7 +197,10 @@ struct JobsGate {
 /// byte-compares the two reports. With one worker the campaign runs once
 /// (single-threaded, as a profiler wants it) and the gate is "not run",
 /// never a report compared with itself. An empty `report_root` writes
-/// under the system temp directory. Prints one line naming the reports.
+/// into a new directory of this process's own under the system temp
+/// directory (make_unique_dir) and removes it before returning, unless the
+/// gate failed; the removed reports' paths read empty. Prints one line
+/// naming the reports.
 JobsGate run_jobs_gate(
     const Campaign& campaign, int jobs, std::string report_root,
     const std::string& run_name,

@@ -150,8 +150,7 @@ void install_churn(TestBed& bed, const ChurnWorkload& wl) {
             ev.at, tag,
             [bedp, id = slot.flow.id,
              path = wl.pairs[slot.pair].paths[ev.path_choice]] {
-              bedp->submit(UpdateRequest{id, path,
-                                         control::RequestKind::kReroute});
+              bedp->system().submit(id, control::RequestKind::kReroute, path);
             });
         break;
     }

@@ -142,12 +142,13 @@ void TestBed::schedule_update_at(sim::Time at, net::FlowId flow,
   // reshapes controller state for the whole run.
   sim_.schedule_at(at, sim::EventTag{-1, sim::EventClass::kScenario, flow},
                    [this, flow, new_path = std::move(new_path)]() {
-                     adapter_->submit(UpdateRequest{flow, new_path});
+                     adapter_->submit(flow, control::RequestKind::kReroute,
+                                      new_path);
                    });
 }
 
 Ticket TestBed::issue_update_now(net::FlowId flow, const net::Path& new_path) {
-  return adapter_->submit(UpdateRequest{flow, new_path});
+  return adapter_->submit(flow, control::RequestKind::kReroute, new_path);
 }
 
 void TestBed::schedule_batch_at(
@@ -182,7 +183,7 @@ void TestBed::start_traffic(net::FlowId flow, net::NodeId ingress, double pps,
 
 void TestBed::force_belief(net::FlowId flow, net::Path path) {
   control::Nib& nib = adapter_->nib();
-  nib.believe_path(flow, std::move(path));
+  nib.believe_path(flow, path);
   nib.view(flow).update_in_progress = false;
 }
 

@@ -52,12 +52,11 @@ const control::FlowDb& SystemAdapter::flow_db() const {
 
 control::Nib& SystemAdapter::nib() { return controller_->nib(); }
 
-Ticket SystemAdapter::submit(const UpdateRequest& req) {
-  const control::RequestId id =
-      admission_->submit(req.flow, req.kind, req.new_path);
+Ticket SystemAdapter::submit(net::FlowId flow, control::RequestKind kind,
+                             const net::Path& new_path) {
+  const control::RequestId id = admission_->submit(flow, kind, new_path);
   const control::RequestRecord* rec = controller_->flow_db().request(id);
-  return Ticket{id, req.flow, rec ? rec->version : 0,
-                rec ? rec->submitted_at : 0};
+  return Ticket{id, flow, rec ? rec->version : 0, rec ? rec->submitted_at : 0};
 }
 
 std::vector<Ticket> SystemAdapter::submit_batch(
@@ -91,7 +90,6 @@ class P4UpdateAdapter final : public SystemAdapter {
     sp.allow_consecutive_dual = ctx.params.allow_consecutive_dual;
     sp.wait_timeout = ctx.params.p4u_wait_timeout;
     sp.uim_watchdog = ctx.params.p4u_uim_watchdog;
-    sp.expected_flows = ctx.params.expected_flows_per_switch;
     for (std::size_t n = 0; n < ctx.graph.node_count(); ++n) {
       auto pipe = std::make_unique<core::P4UpdateSwitch>(
           static_cast<net::NodeId>(n), ctx.graph, sp);

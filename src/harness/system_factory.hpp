@@ -101,13 +101,13 @@ struct TestBedParams {
   /// Controller-side recovery (completion timers with backoff, repair
   /// routing). Off by default: fault-free runs stay bit-exact.
   faults::RecoveryParams recovery;
-  /// Capacity hints for million-flow runs; 0 = grow on demand (the
-  /// default keeps small beds allocation-lean). `expected_flows` is the
-  /// total distinct flows the run will register (controller NIB + FlowDb
-  /// preallocation); `expected_flows_per_switch` sizes each switch's UIB
-  /// and per-flow pools — per switch, not total, since a flow only
-  /// occupies the switches on its path.
+  /// Capacity hint for million-flow runs; 0 = grow on demand (the default
+  /// keeps small beds allocation-lean). The total distinct flows the run
+  /// will register, which pre-sizes the controller's NIB and FlowDb.
   std::size_t expected_flows = 0;
+  /// Nothing reads this. Each switch's UIB and per-flow pools grow with the
+  /// flows it actually carries: pre-sizing them from a guess cost resident
+  /// memory for rows no flow used.
   std::size_t expected_flows_per_switch = 0;
   /// Event-ordering strategy for the run; nullptr keeps the simulator's
   /// historical fast path (equivalent to SeededStrategy). Not owned: must
@@ -181,7 +181,13 @@ class SystemAdapter {
   void register_flow(const net::Flow& f, const net::Path& path);
 
   /// Submits one request through the admission queue.
-  Ticket submit(const UpdateRequest& req);
+  Ticket submit(const UpdateRequest& req) {
+    return submit(req.flow, req.kind, req.new_path);
+  }
+  /// Submits one request without building an UpdateRequest: the queue
+  /// copies `new_path` only if the request has to wait.
+  Ticket submit(net::FlowId flow, control::RequestKind kind,
+                const net::Path& new_path);
 
   /// Submits a batch: systems that precompute per-batch state (ez-Segway's
   /// congestion priorities) do it once up front, then every request is

@@ -141,11 +141,6 @@ class FlowPool {
     }
   }
 
-  void reserve(std::size_t n) {
-    rows_.reserve(n);
-    stamps_.reserve(n);
-  }
-
   void clear() {
     rows_.clear();
     stamps_.clear();

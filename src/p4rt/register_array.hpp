@@ -52,7 +52,6 @@ class FlatRegisterArray {
     pool_.row(h, gen) = value;
   }
 
-  void reserve(std::size_t n) { pool_.reserve(n); }
   void clear() { pool_.clear(); }
 
   [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }

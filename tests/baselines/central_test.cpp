@@ -1,8 +1,19 @@
 // Central (Dionysus-style) baseline end-to-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "baselines/central_controller.hpp"
 #include "harness/scenario.hpp"
+#include "net/fattree.hpp"
+#include "net/paths.hpp"
 #include "net/topologies.hpp"
+#include "p4rt/control_channel.hpp"
+#include "p4rt/fabric.hpp"
 
 namespace p4u::baseline {
 namespace {
@@ -113,6 +124,89 @@ TEST(CentralTest, CongestionModeSequencesCapacityMoves) {
   EXPECT_EQ(bed.monitor().violations().capacity, 0u);
   EXPECT_TRUE(bed.flow_db().duration(f1.id, 2).has_value());
   EXPECT_TRUE(bed.flow_db().duration(f2.id, 2).has_value());
+}
+
+/// Records every install command in arrival order and acknowledges it at
+/// once, without touching the forwarding table.
+class AckingRecorder final : public p4rt::Pipeline {
+ public:
+  explicit AckingRecorder(std::vector<p4rt::InstallCmdHeader>* log)
+      : log_(log) {}
+  void handle(p4rt::SwitchDevice& sw, p4rt::Packet pkt,
+              std::int32_t in_port) override {
+    (void)in_port;
+    if (!pkt.is<p4rt::InstallCmdHeader>()) return;
+    const auto cmd = pkt.as<p4rt::InstallCmdHeader>();
+    if (cmd.remove) return;
+    log_->push_back(cmd);
+    p4rt::InstallAckHeader ack;
+    ack.flow = cmd.flow;
+    ack.version = cmd.version;
+    ack.node = sw.id();
+    ack.round = cmd.round;
+    sw.send_to_controller(p4rt::Packet{ack});
+  }
+
+ private:
+  std::vector<p4rt::InstallCmdHeader>* log_;
+};
+
+// One global round visits the live jobs in ascending flow id, whatever
+// order their updates were scheduled in: with equal control latency to
+// every switch, the commands of a round arrive grouped by flow, ascending.
+TEST(CentralTest, RoundCommandsGoOutInAscendingFlowId) {
+  const net::FatTree ft = net::fattree_topology(4);
+  sim::Simulator sim;
+  p4rt::Fabric fabric(sim, ft.graph, p4rt::SwitchParams{}, 1);
+  p4rt::ControlChannel channel(
+      sim, fabric,
+      std::vector<sim::Duration>(ft.graph.node_count(), sim::milliseconds(2)),
+      sim::microseconds(100));
+  std::vector<p4rt::InstallCmdHeader> log;
+  std::vector<std::unique_ptr<AckingRecorder>> pipes;
+  for (std::size_t n = 0; n < ft.graph.node_count(); ++n) {
+    pipes.push_back(std::make_unique<AckingRecorder>(&log));
+    fabric.sw(static_cast<net::NodeId>(n)).set_pipeline(pipes.back().get());
+  }
+  CentralController ctrl(channel, control::Nib(ft.graph));
+
+  // Three flows on disjoint edge pairs, each moved to another core.
+  std::vector<std::pair<net::Flow, net::Path>> moves;
+  for (const auto& [a, b] : {std::pair{0, 2}, std::pair{4, 6},
+                             std::pair{1, 7}}) {
+    const std::vector<net::Path> ksp = net::k_shortest_paths(
+        ft.graph, ft.edge[static_cast<std::size_t>(a)],
+        ft.edge[static_cast<std::size_t>(b)], 2, net::Metric::kHops);
+    ASSERT_EQ(ksp.size(), 2u);
+    const net::Flow f = flow_over(ksp[0]);
+    ctrl.register_flow(f, ksp[0]);
+    moves.emplace_back(f, ksp[1]);
+  }
+  // Highest id first: its job opens the first round alone, and the other
+  // two jobs join it from the second round on.
+  std::sort(moves.begin(), moves.end(), [](const auto& x, const auto& y) {
+    return x.first.id > y.first.id;
+  });
+  sim.schedule_at(sim::milliseconds(10), [&] {
+    for (const auto& [f, path] : moves) ctrl.schedule_update(f.id, path);
+  });
+  sim.run();
+
+  std::map<std::int32_t, std::vector<net::FlowId>> flows_by_round;
+  for (const p4rt::InstallCmdHeader& cmd : log) {
+    flows_by_round[cmd.round].push_back(cmd.flow);
+  }
+  std::size_t rounds_with_all_three = 0;
+  for (const auto& [round, flows] : flows_by_round) {
+    EXPECT_TRUE(std::is_sorted(flows.begin(), flows.end()))
+        << "round " << round;
+    std::vector<net::FlowId> distinct = flows;
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    if (distinct.size() == 3) ++rounds_with_all_three;
+  }
+  EXPECT_GE(rounds_with_all_three, 1u);
+  EXPECT_TRUE(ctrl.flow_db().all_completed());
 }
 
 }  // namespace

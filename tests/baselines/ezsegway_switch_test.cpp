@@ -116,6 +116,103 @@ TEST(EzSegwaySwitchTest, ChainStartWaitsForAwaitedSegments) {
   EXPECT_TRUE(env.fabric->sw(3).lookup(42).has_value());
 }
 
+TEST(EzSegwaySwitchTest, DuplicateSegmentDoneCountsOnce) {
+  Env env;
+  p4rt::EzCmdHeader start;
+  start.flow = 42;
+  start.target = 4;
+  start.version = 2;
+  start.starts_chain = true;
+  start.chain_segment = 1;
+  start.chain_child_port = env.topo.graph.port_of(4, 3);
+  start.await_segments = 2;
+  env.fabric->inject(4, p4rt::Packet{start}, -1);
+  env.fabric->inject(
+      3,
+      p4rt::Packet{rule_cmd(42, 3, 1, env.topo.graph.port_of(3, 4), -1,
+                            true)},
+      -1);
+  p4rt::SegmentDoneHeader done;
+  done.flow = 42;
+  done.version = 2;
+  done.segment_id = 2;
+  done.final_dst = 4;
+  // The same dependency reported twice (a recovery resend re-emits it).
+  env.fabric->inject(4, p4rt::Packet{done}, -1);
+  env.fabric->inject(4, p4rt::Packet{done}, -1);
+  env.sim.run();
+  EXPECT_FALSE(env.fabric->sw(3).lookup(42).has_value())
+      << "one dependency is still unresolved";
+  done.segment_id = 3;
+  env.fabric->inject(4, p4rt::Packet{done}, -1);
+  env.sim.run();
+  EXPECT_TRUE(env.fabric->sw(3).lookup(42).has_value());
+}
+
+TEST(EzSegwaySwitchTest, DuplicateNotifyForOlderInstalledVersionIsDropped) {
+  Env env;
+  const std::int32_t v2_port = env.topo.graph.port_of(1, 2);
+  const std::int32_t v3_port = env.topo.graph.port_of(1, 0);
+  env.fabric->inject(1, p4rt::Packet{rule_cmd(42, 1, 0, v2_port, -1, true)},
+                     -1);
+  p4rt::EzNotifyHeader n;
+  n.flow = 42;
+  n.version = 2;
+  n.segment_id = 0;
+  env.fabric->inject(1, p4rt::Packet{n}, -1);
+  env.sim.run();
+  ASSERT_EQ(env.fabric->sw(1).installs_completed(), 1u);
+
+  // Version 3's command arrives; then a late duplicate of version 2's
+  // notify. Version 2 is installed, so the notify is dropped: it neither
+  // re-installs nor recirculates waiting for a command.
+  p4rt::EzCmdHeader v3 = rule_cmd(42, 1, 0, v3_port, -1, true);
+  v3.version = 3;
+  env.fabric->inject(1, p4rt::Packet{v3}, -1);
+  const sim::Time dup_at = env.sim.now() + sim::milliseconds(1);
+  env.sim.schedule_at(dup_at, [&] { env.fabric->inject(1, p4rt::Packet{n}, -1); });
+  env.sim.run();
+  EXPECT_EQ(env.fabric->sw(1).installs_completed(), 1u);
+  EXPECT_EQ(env.fabric->sw(1).lookup(42), std::optional<std::int32_t>(v2_port));
+  EXPECT_LT(env.sim.now(), dup_at + sim::milliseconds(100))
+      << "a resubmitted notify would recirculate until the retry timeout";
+}
+
+TEST(EzSegwaySwitchTest, OlderVersionArrivingAfterNewerKeepsItsOwnEntry) {
+  Env env;
+  const std::int32_t v2_port = env.topo.graph.port_of(1, 2);
+  const std::int32_t v3_port = env.topo.graph.port_of(1, 0);
+  // Version 3's command overtakes version 2's: the switch hears of the
+  // versions out of order and must still tell them apart.
+  p4rt::EzCmdHeader v3 = rule_cmd(42, 1, 0, v3_port, -1, true);
+  v3.version = 3;
+  env.fabric->inject(1, p4rt::Packet{v3}, -1);
+  env.fabric->inject(1, p4rt::Packet{rule_cmd(42, 1, 0, v2_port, -1, true)},
+                     -1);
+  p4rt::EzNotifyHeader n;
+  n.flow = 42;
+  n.version = 2;
+  n.segment_id = 0;
+  env.fabric->inject(1, p4rt::Packet{n}, -1);
+  env.sim.run();
+  ASSERT_EQ(env.fabric->sw(1).installs_completed(), 1u);
+  EXPECT_EQ(env.fabric->sw(1).lookup(42), std::optional<std::int32_t>(v2_port));
+
+  // Version 3's notify finds version 3's command, not version 2's.
+  n.version = 3;
+  env.fabric->inject(1, p4rt::Packet{n}, -1);
+  env.sim.run();
+  ASSERT_EQ(env.fabric->sw(1).installs_completed(), 2u);
+  EXPECT_EQ(env.fabric->sw(1).lookup(42), std::optional<std::int32_t>(v3_port));
+
+  // A late duplicate of version 2's notify is dropped.
+  n.version = 2;
+  env.fabric->inject(1, p4rt::Packet{n}, -1);
+  env.sim.run();
+  EXPECT_EQ(env.fabric->sw(1).installs_completed(), 2u);
+  EXPECT_EQ(env.fabric->sw(1).lookup(42), std::optional<std::int32_t>(v3_port));
+}
+
 TEST(EzSegwaySwitchTest, SegmentDoneRoutedToDistantGateway) {
   Env env;
   // Deliver a SegmentDone addressed to node 7 by injecting it at node 0;

@@ -41,6 +41,39 @@ TEST(EzSegwayTest, CompletesFig1UpdateConsistently) {
   }
 }
 
+TEST(EzSegwayTest, ForcedIdleBeliefKeepsBothVersionsInFlight) {
+  // Fig. 2's stale controller: version 2's commands are delayed, the
+  // controller is told the flow already runs on version 2's path, and it
+  // issues version 3 on top while version 2 is still in flight. Each
+  // version completes when its own segments have reported.
+  net::NamedTopology topo = net::fig2_topology();
+  TestBedParams params;
+  params.system = SystemKind::kEzSegway;
+  params.ctrl_latency_model = harness::CtrlLatencyModel::kFixed;
+  params.fixed_ctrl_latency = sim::milliseconds(5);
+  TestBed bed(topo.graph, params);
+  const net::Path config_a{0, 1, 2, 3, 4};
+  const net::Path config_b{0, 1, 2, 4};
+  const net::Path config_c{0, 3, 1, 2, 4};
+  const net::Flow f = flow_over(config_a);
+  bed.deploy_flow(f, config_a);
+  bed.simulator().schedule_at(sim::milliseconds(10), [&] {
+    bed.channel().set_extra_outbound_delay(sim::milliseconds(400));
+    bed.issue_update_now(f.id, config_b);
+    bed.channel().set_extra_outbound_delay(0);
+    bed.force_belief(f.id, config_b);
+  });
+  bed.schedule_update_at(sim::milliseconds(60), f.id, config_c);
+  bed.run(sim::seconds(30));
+  const auto* r2 = bed.flow_db().record(f.id, 2);
+  const auto* r3 = bed.flow_db().record(f.id, 3);
+  ASSERT_NE(r2, nullptr);
+  ASSERT_NE(r3, nullptr);
+  EXPECT_LT(r3->issued_at, r2->completed_at) << "both were in flight";
+  EXPECT_EQ(r2->outcome, control::UpdateOutcome::kCompleted);
+  EXPECT_EQ(r3->outcome, control::UpdateOutcome::kCompleted);
+}
+
 TEST(EzSegwayTest, SecondUpdateWaitsForFirst) {
   // ez-Segway's §4.2 behavior: updates of one flow serialize.
   net::NamedTopology topo = net::fig4_topology();

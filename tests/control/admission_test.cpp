@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 namespace p4u::control {
@@ -100,6 +102,40 @@ TEST(AdmissionQueueTest, SkipScanPassesBlockedFlow) {
   ASSERT_EQ(h.dispatched.size(), 2u);
   EXPECT_EQ(h.dispatched[1].first, 8);
   EXPECT_EQ(h.q.queued_now(), 1u);
+}
+
+TEST(AdmissionQueueTest, SkipScanDispatchesInFifoOrderPastBlockedFlows) {
+  // Flows 7 and 8 hold their one slot each with a second request queued
+  // behind it. Every freed global slot goes to the oldest queued request
+  // whose flow is free: 9, 10 and 11 pass the blocked pair in submit order,
+  // and each blocked request goes once its own flow settles.
+  AdmissionParams p;
+  p.max_inflight_global = 3;
+  p.max_inflight_per_flow = 1;
+  p.coalesce = false;
+  Harness h(p);
+  h.q.submit(7, RequestKind::kReroute, path_a());
+  h.q.submit(8, RequestKind::kReroute, path_a());
+  h.q.submit(12, RequestKind::kReroute, path_a());
+  h.q.submit(7, RequestKind::kReroute, path_b());
+  h.q.submit(8, RequestKind::kReroute, path_b());
+  h.q.submit(9, RequestKind::kReroute, path_a());
+  h.q.submit(10, RequestKind::kReroute, path_a());
+  h.q.submit(11, RequestKind::kReroute, path_a());
+  ASSERT_EQ(h.dispatched.size(), 3u);
+  EXPECT_EQ(h.q.queued_now(), 5u);
+
+  h.q.on_update_settled(12, 1, UpdateOutcome::kCompleted);
+  h.q.on_update_settled(9, 1, UpdateOutcome::kCompleted);
+  h.q.on_update_settled(10, 1, UpdateOutcome::kCompleted);
+  EXPECT_EQ(h.q.queued_now(), 2u) << "7 and 8 still wait for their flows";
+  h.q.on_update_settled(8, 1, UpdateOutcome::kCompleted);
+  h.q.on_update_settled(7, 1, UpdateOutcome::kCompleted);
+  const std::vector<std::pair<net::FlowId, p4rt::Version>> want = {
+      {7, 1}, {8, 1}, {12, 1}, {9, 1}, {10, 1}, {11, 1}, {8, 2}, {7, 2}};
+  EXPECT_EQ(h.dispatched, want);
+  EXPECT_EQ(h.q.queued_now(), 0u);
+  EXPECT_EQ(h.q.inflight_now(), 3u);
 }
 
 TEST(AdmissionQueueTest, CoalesceReplacesQueuedRequestInPlace) {

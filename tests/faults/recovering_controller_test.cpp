@@ -3,12 +3,19 @@
 // stranded a request after a fault or a same-flow resubmit.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "baselines/ezsegway_controller.hpp"
+#include "core/p4update_controller.hpp"
+#include "faults/recovery.hpp"
 #include "harness/scenario.hpp"
 #include "net/fattree.hpp"
 #include "net/paths.hpp"
 #include "net/topologies.hpp"
+#include "p4rt/control_channel.hpp"
+#include "p4rt/fabric.hpp"
 
 namespace p4u::harness {
 namespace {
@@ -137,6 +144,130 @@ TEST(RecoveringControllerTest, CentralSameFlowResubmitKeepsTheBarrierOpen) {
     EXPECT_EQ(bed.monitor().violations().loops, 0u);
     EXPECT_EQ(bed.monitor().violations().blackholes, 0u);
   }
+}
+
+// The lifecycle with no protocol: every update is begun and never sent, so
+// the test reads back what the shared store recorded for each version.
+class LedgerOnlyController final : public faults::RecoveringController {
+ public:
+  LedgerOnlyController(p4rt::ControlChannel& channel, const net::Graph& g)
+      : RecoveringController(channel, control::Nib(g), {}) {}
+
+  p4rt::Version schedule_update(net::FlowId flow,
+                                const net::Path& new_path) override {
+    return begin_update(flow, new_path);
+  }
+  void handle_from_switch(net::NodeId, const p4rt::Packet&) override {}
+
+  /// The path (flow, v) was issued for; empty when none was.
+  [[nodiscard]] net::Path issued(net::FlowId flow, p4rt::Version v) const {
+    const std::span<const net::NodeId> p = issued_path(flow, v);
+    return net::Path(p.begin(), p.end());
+  }
+
+ private:
+  void resend(net::FlowId, p4rt::Version) override {}
+  void cancel_inflight(net::FlowId, p4rt::Version, bool) override {}
+  void pump_next(std::span<const net::FlowId>) override {}
+  void redeploy(net::FlowId, net::NodeId) override {}
+};
+
+// Late completions, retriggers and repairs look up the path of an older
+// version, so the store answers for every version ever issued, per flow,
+// however the flows' updates interleave.
+TEST(RecoveringControllerTest, IssuedPathAnswersForEveryIssuedVersion) {
+  const net::FatTree ft = net::fattree_topology(4);
+  sim::Simulator sim;
+  p4rt::Fabric fabric(sim, ft.graph, p4rt::SwitchParams{}, 1);
+  p4rt::ControlChannel channel(
+      sim, fabric,
+      std::vector<sim::Duration>(ft.graph.node_count(), sim::milliseconds(1)),
+      sim::milliseconds(1));
+  LedgerOnlyController ctrl(channel, ft.graph);
+
+  const std::vector<net::Path> x = net::k_shortest_paths(
+      ft.graph, ft.edge[0], ft.edge[2], 3, net::Metric::kHops);
+  const std::vector<net::Path> y = net::k_shortest_paths(
+      ft.graph, ft.edge[4], ft.edge[7], 3, net::Metric::kHops);
+  ASSERT_EQ(x.size(), 3u);
+  ASSERT_EQ(y.size(), 3u);
+  const net::Flow fx = flow_along(x[0]);
+  const net::Flow fy = flow_along(y[0]);
+  ctrl.register_flow(fx, x[0]);
+  ctrl.register_flow(fy, y[0]);
+
+  // Versions 2..13 of each flow, interleaved across the two flows.
+  std::vector<net::Path> want_x{{}, {}};
+  std::vector<net::Path> want_y{{}, {}};
+  for (std::size_t i = 0; i < 12; ++i) {
+    const net::Path& px = x[(i + 1) % x.size()];
+    const net::Path& py = y[(i * 2 + 1) % y.size()];
+    EXPECT_EQ(ctrl.schedule_update(fx.id, px), i + 2);
+    EXPECT_EQ(ctrl.schedule_update(fy.id, py), i + 2);
+    want_x.push_back(px);
+    want_y.push_back(py);
+  }
+  for (p4rt::Version v = 2; v < 14; ++v) {
+    EXPECT_EQ(ctrl.issued(fx.id, v), want_x[static_cast<std::size_t>(v)])
+        << "flow x, version " << v;
+    EXPECT_EQ(ctrl.issued(fy.id, v), want_y[static_cast<std::size_t>(v)])
+        << "flow y, version " << v;
+  }
+  EXPECT_TRUE(ctrl.issued(fx.id, 1).empty()) << "deployed, never issued";
+  EXPECT_TRUE(ctrl.issued(fx.id, 14).empty()) << "not issued yet";
+}
+
+// A version that settles after its successor was issued makes the NIB
+// believe that version's own path, not the newest one issued.
+TEST(RecoveringControllerTest, LateCompletionBelievesItsOwnPath) {
+  net::NamedTopology topo = net::fig1_topology();
+  sim::Simulator sim;
+  p4rt::Fabric fabric(sim, topo.graph, p4rt::SwitchParams{}, 1);
+  p4rt::ControlChannel channel(
+      sim, fabric,
+      std::vector<sim::Duration>(topo.graph.node_count(),
+                                 sim::milliseconds(5)),
+      sim::milliseconds(1));
+  core::P4UpdateController ctrl(channel, control::Nib(topo.graph));
+  const net::Flow f = flow_along(topo.old_path);
+  ctrl.register_flow(f, topo.old_path);
+  ASSERT_EQ(ctrl.schedule_update(f.id, topo.new_path), 2u);
+  ASSERT_EQ(ctrl.schedule_update(f.id, topo.old_path), 3u);
+
+  p4rt::UfmHeader ufm;
+  ufm.flow = f.id;
+  ufm.version = 2;
+  ufm.success = true;
+  ctrl.handle_from_switch(topo.old_path.front(), p4rt::Packet{ufm});
+  EXPECT_EQ(ctrl.nib().view(f.id).believed_path, topo.new_path);
+  ufm.version = 3;
+  ctrl.handle_from_switch(topo.old_path.front(), p4rt::Packet{ufm});
+  EXPECT_EQ(ctrl.nib().view(f.id).believed_path, topo.old_path);
+}
+
+// ez-Segway issues a flow's next version only once the previous one
+// settled; each completion still believes its own version's path.
+TEST(RecoveringControllerTest, EzSegwayEachCompletionBelievesItsOwnPath) {
+  net::NamedTopology topo = net::fig1_topology();
+  TestBedParams params;
+  params.system = SystemKind::kEzSegway;
+  TestBed bed(topo.graph, params);
+  const net::Flow f = flow_along(topo.old_path);
+  bed.deploy_flow(f, topo.old_path);
+  std::vector<net::Path> believed_at_completion;
+  bed.ezsegway().on_complete = [&](net::FlowId flow, p4rt::Version,
+                                   sim::Time) {
+    believed_at_completion.push_back(
+        bed.ezsegway().nib().view(flow).believed_path);
+  };
+  bed.schedule_update_at(sim::milliseconds(10), f.id, topo.new_path);
+  bed.schedule_update_at(sim::milliseconds(11), f.id, topo.old_path);
+  bed.run(sim::seconds(30));
+
+  ASSERT_EQ(believed_at_completion.size(), 2u);
+  EXPECT_EQ(believed_at_completion[0], topo.new_path);
+  EXPECT_EQ(believed_at_completion[1], topo.old_path);
+  EXPECT_EQ(bed.flow_db().history(f.id).back().version, 3u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "harness/campaign.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>  // getpid (POSIX)
 
 #include <filesystem>
 #include <memory>
@@ -176,8 +177,8 @@ TEST(CampaignTest, SamplesMergePreservesSeedOrder) {
 /// report compared with itself (which would always read identical).
 TEST(CampaignTest, JobsGateNeverComparesAReportWithItself) {
   const Campaign campaign = small_campaign(2);
-  const std::string root = ::testing::TempDir() + "/campaign_jobs_gate";
-  std::filesystem::remove_all(root);
+  const std::string root =
+      make_unique_dir(::testing::TempDir(), "campaign_jobs_gate");
   const std::vector<std::pair<std::string, std::string>> meta = {
       {"campaign", "gate"}};
 
@@ -208,6 +209,33 @@ TEST(CampaignTest, JobsGateNeverComparesAReportWithItself) {
     EXPECT_STREQ(gate.json(), "true");
   }
   std::filesystem::remove_all(root);
+}
+
+/// Without a report root the gate's reports are temporary: a gate that
+/// passed (or did not run) removes them, so a bench run without --out
+/// leaves nothing in the temp directory.
+TEST(CampaignTest, JobsGateRemovesItsTemporaryReports) {
+  const Campaign campaign = small_campaign(2);
+  // A run name of this process's own: no concurrent run's directory
+  // carries the prefix counted below.
+  const std::string run_name = "gate_tmp_" + std::to_string(::getpid());
+  const std::string prefix = "p4u_" + run_name + "_reports_";
+  const auto leftovers = [&prefix] {
+    int n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(
+             std::filesystem::temp_directory_path())) {
+      if (e.path().filename().string().starts_with(prefix)) ++n;
+    }
+    return n;
+  };
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE(jobs);
+    const JobsGate gate = run_jobs_gate(campaign, jobs, "", run_name, {});
+    EXPECT_TRUE(gate.passed());
+    EXPECT_TRUE(gate.serial_report.empty());
+    EXPECT_TRUE(gate.parallel_report.empty());
+    EXPECT_EQ(leftovers(), 0);
+  }
 }
 
 }  // namespace

@@ -120,11 +120,17 @@ TEST(ChaosCampaignTest, MergedReportsAreByteIdenticalAcrossJobCounts) {
             parallel[0].result.update_times_ms.raw());
 
   // The shipped artifact: written reports must match byte for byte.
-  const std::string base = ::testing::TempDir();
-  const std::string dir1 = base + "/chaos_prop_jobs1";
-  const std::string dir4 = base + "/chaos_prop_jobs4";
-  std::filesystem::remove_all(dir1);
-  std::filesystem::remove_all(dir4);
+  // A directory of this process's own, removed when the test ends.
+  struct OwnDir {
+    const std::string path =
+        make_unique_dir(::testing::TempDir(), "chaos_prop");
+    ~OwnDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } own;
+  const std::string dir1 = own.path + "/jobs1";
+  const std::string dir4 = own.path + "/jobs4";
   ASSERT_FALSE(
       write_campaign_report(dir1, "chaos_prop", {{"campaign", "chaos_prop"}},
                             serial)
