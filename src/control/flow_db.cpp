@@ -1,12 +1,8 @@
 #include "control/flow_db.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace p4u::control {
-
-const std::vector<UpdateRecord> FlowDb::kEmpty;
 
 const char* to_string(UpdateOutcome o) {
   switch (o) {
@@ -44,68 +40,79 @@ bool is_terminal(RequestState s) {
          s == RequestState::kAbandoned || s == RequestState::kSuperseded;
 }
 
-void FlowDb::reserve(std::size_t expected) {
-  index_.reserve(expected);
-  histories_.reserve(expected);
+std::uint32_t FlowDb::newest(net::FlowId f) const {
+  const net::FlowHandle h = index_.find(f);
+  if (h == net::kNoFlowHandle) return kNoRecord;
+  return newest_.get(h, index_.generation(h));
 }
 
-void FlowDb::on_issued(net::FlowId flow, p4rt::Version v, sim::Time at) {
-  const net::FlowHandle h = index_.intern(flow);
-  if (h >= histories_.size()) histories_.resize(h + 1);
-  auto& hist = histories_[h];
-  for (auto& r : hist) {
-    if (r.state == UpdateState::kInProgress) r.state = UpdateState::kSuperseded;
+std::uint32_t FlowDb::find(net::FlowId f, p4rt::Version v) const {
+  // Versions strictly increase along a flow's chain: stop once past `v`.
+  for (std::uint32_t i = newest(f);
+       i != kNoRecord && log_[i].record.version >= v; i = log_[i].older) {
+    if (log_[i].record.version == v) return i;
   }
-  hist.push_back(UpdateRecord{v, at, 0, UpdateState::kInProgress, 0,
-                              UpdateOutcome::kPending});
+  return kNoRecord;
+}
+
+void FlowDb::on_issued(net::FlowId flow, p4rt::Version v, sim::Time at,
+                       std::span<const net::NodeId> path) {
+  const net::FlowHandle h = index_.intern(flow);
+  std::uint32_t& head = newest_.row(h, index_.generation(h));
+  // Every issue supersedes the in-progress record, so only the newest can
+  // be in progress.
+  if (head != kNoRecord &&
+      log_[head].record.state == UpdateState::kInProgress) {
+    log_[head].record.state = UpdateState::kSuperseded;
+  }
+  const std::uint32_t i = log_.append();
+  Entry& e = log_[i];
+  e.record.version = v;
+  e.record.issued_at = at;
+  e.record.path.assign(path.begin(), path.end());
+  e.older = head;
+  head = i;
 }
 
 void FlowDb::on_completed(net::FlowId flow, p4rt::Version v, sim::Time at) {
-  const net::FlowHandle h = index_.find(flow);
-  if (h == net::kNoFlowHandle) return;
-  for (auto& r : histories_[h]) {
-    if (r.version == v && r.completed_at == 0) {
-      r.completed_at = at;
-      r.state = UpdateState::kCompleted;
-      r.outcome = UpdateOutcome::kCompleted;
-    }
+  const std::uint32_t i = find(flow, v);
+  if (i == kNoRecord) return;
+  UpdateRecord& r = log_[i].record;
+  if (r.completed_at == 0) {
+    r.completed_at = at;
+    r.state = UpdateState::kCompleted;
+    r.outcome = UpdateOutcome::kCompleted;
   }
 }
 
 void FlowDb::on_gave_up(net::FlowId flow, p4rt::Version v,
                         UpdateOutcome outcome, sim::Time at) {
-  const net::FlowHandle h = index_.find(flow);
-  if (h == net::kNoFlowHandle) return;
-  for (auto& r : histories_[h]) {
-    if (r.version == v && r.outcome == UpdateOutcome::kPending) {
-      r.outcome = outcome;
-      r.completed_at = at;  // when the decision was made, for reporting
-      if (r.state == UpdateState::kInProgress) r.state = UpdateState::kFailed;
-    }
+  const std::uint32_t i = find(flow, v);
+  if (i == kNoRecord) return;
+  UpdateRecord& r = log_[i].record;
+  if (r.outcome == UpdateOutcome::kPending) {
+    r.outcome = outcome;
+    r.completed_at = at;  // when the decision was made, for reporting
+    if (r.state == UpdateState::kInProgress) r.state = UpdateState::kFailed;
   }
 }
 
 void FlowDb::on_alarm(net::FlowId flow, p4rt::Version v) {
-  const net::FlowHandle h = index_.find(flow);
-  if (h == net::kNoFlowHandle) return;
-  for (auto& r : histories_[h]) {
-    if (r.version == v) {
-      ++r.alarms;
-      if (r.state == UpdateState::kInProgress) r.state = UpdateState::kFailed;
-    }
-  }
-}
-
-const std::vector<UpdateRecord>& FlowDb::history(net::FlowId f) const {
-  const net::FlowHandle h = index_.find(f);
-  return h == net::kNoFlowHandle ? kEmpty : histories_[h];
+  const std::uint32_t i = find(flow, v);
+  if (i == kNoRecord) return;
+  UpdateRecord& r = log_[i].record;
+  ++r.alarms;
+  if (r.state == UpdateState::kInProgress) r.state = UpdateState::kFailed;
 }
 
 const UpdateRecord* FlowDb::record(net::FlowId f, p4rt::Version v) const {
-  for (const auto& r : history(f)) {
-    if (r.version == v) return &r;
-  }
-  return nullptr;
+  const std::uint32_t i = find(f, v);
+  return i == kNoRecord ? nullptr : &log_[i].record;
+}
+
+const UpdateRecord* FlowDb::latest(net::FlowId f) const {
+  const std::uint32_t i = newest(f);
+  return i == kNoRecord ? nullptr : &log_[i].record;
 }
 
 std::optional<sim::Duration> FlowDb::duration(net::FlowId f,
@@ -116,38 +123,29 @@ std::optional<sim::Duration> FlowDb::duration(net::FlowId f,
 }
 
 bool FlowDb::all_completed() const {
-  for (const auto& hist : histories_) {
-    for (const auto& r : hist) {
-      if (r.state == UpdateState::kInProgress) return false;
-    }
+  for (std::uint32_t i = 0; i < log_.size(); ++i) {
+    if (log_[i].record.state == UpdateState::kInProgress) return false;
   }
   return true;
-}
-
-sim::Time FlowDb::last_completion() const {
-  sim::Time t = 0;
-  for (const auto& hist : histories_) {
-    for (const auto& r : hist) t = std::max(t, r.completed_at);
-  }
-  return t;
 }
 
 bool FlowDb::all_terminal() const { return nonterminal_updates() == 0; }
 
 std::uint64_t FlowDb::nonterminal_updates() const {
   std::uint64_t n = 0;
-  for (const auto& hist : histories_) {
-    if (!hist.empty() && hist.back().outcome == UpdateOutcome::kPending) ++n;
-  }
+  index_.for_each([&](net::FlowHandle h, net::FlowId) {
+    const std::uint32_t i = newest_.get(h, index_.generation(h));
+    if (i != kNoRecord && log_[i].record.outcome == UpdateOutcome::kPending) {
+      ++n;
+    }
+  });
   return n;
 }
 
 void FlowDb::export_outcomes(obs::MetricsRegistry& m) const {
   std::uint64_t by_outcome[4] = {0, 0, 0, 0};
-  for (const auto& hist : histories_) {
-    for (const auto& r : hist) {
-      by_outcome[static_cast<std::size_t>(r.outcome)] += 1;
-    }
+  for (std::uint32_t i = 0; i < log_.size(); ++i) {
+    by_outcome[static_cast<std::size_t>(log_[i].record.outcome)] += 1;
   }
   // Top-up pattern: counters only move forward, so re-exporting after more
   // progress stays correct and re-exporting with no progress is a no-op.
@@ -240,9 +238,7 @@ void FlowDb::export_requests(obs::MetricsRegistry& m) const {
 
 std::uint64_t FlowDb::total_alarms() const {
   std::uint64_t n = 0;
-  for (const auto& hist : histories_) {
-    for (const auto& r : hist) n += r.alarms;
-  }
+  for (std::uint32_t i = 0; i < log_.size(); ++i) n += log_[i].record.alarms;
   return n;
 }
 

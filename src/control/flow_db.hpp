@@ -1,15 +1,21 @@
 // Flow DB (§6): per-flow update bookkeeping on the controller. Records when
-// each version's update was triggered and when its UFM came back; the
-// experiment harness reads completion times from here ("from the sending of
-// UIM messages to the receiving of UFM messages", §9.2).
+// each version's update was triggered, the path it was issued for and when
+// its UFM came back; the experiment harness reads completion times from
+// here ("from the sending of UIM messages to the receiving of UFM
+// messages", §9.2), and the recovery driver reads issued paths.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/flow.hpp"
 #include "net/flow_index.hpp"
+#include "net/graph.hpp"
 #include "p4rt/packet.hpp"
+#include "sim/append_log.hpp"
+#include "sim/small_vec.hpp"
 #include "sim/time.hpp"
 
 namespace p4u::obs {
@@ -44,6 +50,9 @@ struct UpdateRecord {
   UpdateState state = UpdateState::kInProgress;
   std::uint32_t alarms = 0;
   UpdateOutcome outcome = UpdateOutcome::kPending;
+  /// The path the update was issued for (inline up to 8 nodes, which covers
+  /// every fat-tree path); empty for a destination-tree update.
+  sim::SmallVec<net::NodeId, 8> path;
 };
 
 // ---------------------------------------------------------------------------
@@ -88,16 +97,19 @@ struct RequestRecord {
   sim::Time finished_at = 0;
 };
 
-// Flat storage: flow ids intern into a net::FlowIndex; the per-flow update
-// histories live in a dense array addressed by the handle. Whole-DB
-// reductions (all_completed, outcome exports) scan the dense array in
-// handle order — a deterministic order, unlike the hash map this replaced.
+// The one store of issued updates. Every record lives in one append-only
+// log, and each flow's records chain newest first from a head kept per flow
+// handle (a net::FlowIndex of the DB's own). A flow's versions strictly
+// increase along its chain, so a lookup stops once it passes the version it
+// wants, and most want the newest. Whole-DB reductions (all_completed,
+// outcome exports) scan the log in issue order — a deterministic order.
 class FlowDb {
  public:
-  /// Pre-sizes the index and history array for `expected` flows.
-  void reserve(std::size_t expected);
-
-  void on_issued(net::FlowId flow, p4rt::Version v, sim::Time at);
+  /// Opens the record of (flow, v), issued at `at` for `path` (empty for a
+  /// destination-tree update). `v` must exceed every version the flow was
+  /// issued before. The flow's in-progress record, if any, is superseded.
+  void on_issued(net::FlowId flow, p4rt::Version v, sim::Time at,
+                 std::span<const net::NodeId> path);
   void on_completed(net::FlowId flow, p4rt::Version v, sim::Time at);
   void on_alarm(net::FlowId flow, p4rt::Version v);
   /// Recovery gave up on (flow, v): records the terminal outcome
@@ -105,8 +117,23 @@ class FlowDb {
   void on_gave_up(net::FlowId flow, p4rt::Version v, UpdateOutcome outcome,
                   sim::Time at);
 
-  [[nodiscard]] const std::vector<UpdateRecord>& history(net::FlowId f) const;
+  /// The record of (flow, v), or nullptr when none was issued. Records never
+  /// move, so the pointer (and its path) stays valid for the DB's life.
   [[nodiscard]] const UpdateRecord* record(net::FlowId f, p4rt::Version v) const;
+  /// The flow's newest record, or nullptr when none was issued.
+  [[nodiscard]] const UpdateRecord* latest(net::FlowId f) const;
+  /// Calls fn(const UpdateRecord&) for each of the flow's records, oldest
+  /// first.
+  template <typename Fn>
+  void for_each_record(net::FlowId f, Fn&& fn) const {
+    std::vector<std::uint32_t> chain;
+    for (std::uint32_t i = newest(f); i != kNoRecord; i = log_[i].older) {
+      chain.push_back(i);
+    }
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      fn(log_[*it].record);
+    }
+  }
 
   /// Completion duration of (flow, version), if completed.
   [[nodiscard]] std::optional<sim::Duration> duration(net::FlowId f,
@@ -114,9 +141,6 @@ class FlowDb {
 
   /// True when every issued update of every flow has completed.
   [[nodiscard]] bool all_completed() const;
-
-  /// Latest completion time over all records, or 0 if none completed.
-  [[nodiscard]] sim::Time last_completion() const;
 
   [[nodiscard]] std::uint64_t total_alarms() const;
 
@@ -161,12 +185,20 @@ class FlowDb {
   void export_requests(obs::MetricsRegistry& m) const;
 
  private:
+  static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+  struct Entry {
+    UpdateRecord record;
+    std::uint32_t older = kNoRecord;  // the flow's previous record
+  };
+  /// Log index of the flow's newest record, or kNoRecord.
+  [[nodiscard]] std::uint32_t newest(net::FlowId f) const;
+  /// Log index of the record of (f, v), or kNoRecord.
+  [[nodiscard]] std::uint32_t find(net::FlowId f, p4rt::Version v) const;
+
   net::FlowIndex index_;
+  net::FlowPool<std::uint32_t> newest_{kNoRecord};  // by handle
+  sim::AppendLog<Entry, 256> log_;
   std::vector<RequestRecord> requests_;
-  // Dense by handle (the DB never releases handles). An empty inner vector
-  // costs no heap, so idle flows stay at one 24-byte row.
-  std::vector<std::vector<UpdateRecord>> histories_;
-  static const std::vector<UpdateRecord> kEmpty;
 };
 
 }  // namespace p4u::control

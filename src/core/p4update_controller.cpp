@@ -159,7 +159,8 @@ p4rt::Version P4UpdateController::schedule_tree_update(
     // believed old tree to build a lattice against; counted, not verified.
     ctrl_counter(preflight_skipped_, "ctrl.preflight_skipped").inc();
   }
-  const p4rt::Version version = nib_.next_version(flow);
+  // Tree state lives in the data plane: the record carries no path.
+  const p4rt::Version version = begin_update(flow, {});
   const control::FlowView& view = nib_.view(flow);
   const auto labels = control::label_tree(nib_.graph(), tree);
 
@@ -187,8 +188,6 @@ p4rt::Version P4UpdateController::schedule_tree_update(
 
   flow_row(flow).last_type = p4rt::UpdateType::kSingleLayer;
   tree_waves_.push_back(TreeWave{flow, version, leaves});
-  nib_.view(flow).update_in_progress = true;
-  flow_db_.on_issued(flow, version, channel_.now());
   // Root first (labels are BFS order): it starts the wave.
   for (const p4rt::UimHeader& uim : uims) {
     channel_.send_to_switch(uim.target, p4rt::Packet{uim});

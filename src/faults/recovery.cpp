@@ -54,34 +54,22 @@ void RecoveringController::register_flow(const net::Flow& f,
   nib_.record_flow(f, initial_path);
 }
 
-p4rt::Version RecoveringController::begin_update(net::FlowId flow,
-                                                 const net::Path& path) {
+p4rt::Version RecoveringController::begin_update(
+    net::FlowId flow, std::span<const net::NodeId> path) {
   const p4rt::Version v = nib_.next_version(flow);
-  FlowRow& r = row(flow);
-  const std::uint32_t i = issued_.append();
-  issued_[i].version = v;
-  issued_[i].older = r.newest_issued;
-  issued_[i].path.assign(path.begin(), path.end());
-  r.newest_issued = i;
   nib_.view(flow).update_in_progress = true;
   // Issue timestamp is "now" at the controller; the ControlChannel
   // serializes the actual sends (update time is measured from the sending
   // of the first message to the confirmation, §9.2).
-  flow_db_.on_issued(flow, v, channel_.now());
+  flow_db_.on_issued(flow, v, channel_.now(), path);
   return v;
 }
 
 std::span<const net::NodeId> RecoveringController::issued_path(
     net::FlowId flow, p4rt::Version v) const {
-  const FlowRow* r = rows_.find(nib_, flow);
-  // Versions strictly increase along a flow's chain: stop once past `v`.
-  for (std::uint32_t i = r != nullptr ? r->newest_issued : kNoIssued;
-       i != kNoIssued && issued_[i].version >= v; i = issued_[i].older) {
-    if (issued_[i].version == v) {
-      return {issued_[i].path.begin(), issued_[i].path.size()};
-    }
-  }
-  return {};
+  const control::UpdateRecord* r = flow_db_.record(flow, v);
+  if (r == nullptr) return {};
+  return {r->path.begin(), r->path.size()};
 }
 
 obs::Counter& RecoveringController::ctrl_counter(obs::Counter& handle,
@@ -98,8 +86,8 @@ void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
   nib_.view(flow).update_in_progress = false;
   // Completion disarms the timer (a timer for a newer version stays armed:
   // its RetryState carries that version).
-  RetryState& retry = row(flow).retry;
-  if (retry.version == v) retry = RetryState{};
+  RetryState& rs = retry(flow);
+  if (rs.version == v) rs = RetryState{};
   if (on_complete) on_complete(flow, v, channel_.now());
   if (on_settled) {
     on_settled(flow, v, control::UpdateOutcome::kCompleted, channel_.now());
@@ -108,17 +96,17 @@ void RecoveringController::complete(net::FlowId flow, p4rt::Version v) {
 
 void RecoveringController::untrack(net::FlowId flow) {
   nib_.view(flow).update_in_progress = false;
-  row(flow).retry = RetryState{};
+  retry(flow) = RetryState{};
 }
 
 void RecoveringController::track_update(net::FlowId flow, p4rt::Version v) {
   if (!recovery_.enabled) return;
-  row(flow).retry = RetryState{v, 0, ++retry_gen_};
+  retry(flow) = RetryState{v, 0, ++retry_gen_};
   arm_retry_timer(flow);
 }
 
 void RecoveringController::arm_retry_timer(net::FlowId flow) {
-  const RetryState& rs = row(flow).retry;
+  const RetryState& rs = retry(flow);
   channel_.simulator().schedule_in(
       kInitialTimeout << rs.attempts,
       [this, flow, gen = rs.gen]() { on_retry_timer(flow, gen); });
@@ -127,7 +115,7 @@ void RecoveringController::arm_retry_timer(net::FlowId flow) {
 void RecoveringController::on_retry_timer(net::FlowId flow,
                                           std::uint64_t gen) {
   // Generations start at 1, so a cleared RetryState never matches.
-  RetryState& rs = row(flow).retry;
+  RetryState& rs = retry(flow);
   if (rs.gen != gen) return;  // superseded
   const p4rt::Version v = rs.version;
   if (rs.attempts >= kMaxRetries) {
@@ -206,10 +194,9 @@ void RecoveringController::repair_around(
     if (view.update_in_progress) {
       // Repair only when the update's *target* crosses the dead element;
       // an update moving away from it is already the repair.
-      const FlowRow* r = rows_.find(nib_, flow);
-      const p4rt::Version v = r != nullptr && r->retry.version != 0
-                                  ? r->retry.version
-                                  : view.version;
+      const RetryState* rs = retries_.find(nib_, flow);
+      const p4rt::Version v =
+          rs != nullptr && rs->version != 0 ? rs->version : view.version;
       const auto target = issued_path(flow, v);
       if (target.empty() || !hits(target)) continue;
       doomed = v;
@@ -243,14 +230,15 @@ void RecoveringController::reissue_after_recovery(
   for (const net::FlowId flow : nib_.sorted_flow_ids()) {
     const control::FlowView& view = nib_.view(flow);
     if (view.update_in_progress) continue;  // a live timer owns this flow
-    const auto& hist = flow_db_.history(flow);
+    const control::UpdateRecord* last = flow_db_.latest(flow);
     const bool settled_short =
-        !hist.empty() &&
-        (hist.back().outcome == control::UpdateOutcome::kRolledBack ||
-         hist.back().outcome == control::UpdateOutcome::kAbandoned);
+        last != nullptr &&
+        (last->outcome == control::UpdateOutcome::kRolledBack ||
+         last->outcome == control::UpdateOutcome::kAbandoned);
     if (settled_short) {
       // First choice: the update we actually wanted, if it is viable now.
-      const auto wanted = issued_path(flow, hist.back().version);
+      const std::span<const net::NodeId> wanted{last->path.begin(),
+                                                last->path.size()};
       if (!wanted.empty() && health_.path_ok(g, wanted)) {
         ctrl_counter(reissues_, "ctrl.recovery_reissues").inc();
         schedule_update(flow, net::Path(wanted.begin(), wanted.end()));

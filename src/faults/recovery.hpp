@@ -2,12 +2,12 @@
 // (P4Update, ez-Segway, Central) inherits, so the three systems differ in
 // how they update and not in how they survive the failure domain.
 //
-//   - RecoveringController: the shared base. It owns the NIB, the FlowDb,
-//     the path of every issued (flow, version), the completion timers with
-//     exponential backoff and a retry cap, and the repair and re-issue
-//     scans that run on link and switch state changes. A controller keeps
-//     only its protocol plus four hooks: resend, cancel-inflight, pump-next
-//     and redeploy.
+//   - RecoveringController: the shared base. It owns the NIB, the FlowDb
+//     (which keeps every issued (flow, version) and its path), the
+//     completion timers with exponential backoff and a retry cap, and the
+//     repair and re-issue scans that run on link and switch state changes.
+//     A controller keeps only its protocol plus four hooks: resend,
+//     cancel-inflight, pump-next and redeploy.
 //   - HealthView: the controller's belief about dead links and crashed
 //     switches, fed by the control channel's failure notifications. Answers
 //     "is this path still viable?" and "find me a repair path around the
@@ -31,8 +31,6 @@
 #include "net/graph.hpp"
 #include "net/paths.hpp"
 #include "p4rt/control_channel.hpp"
-#include "sim/append_log.hpp"
-#include "sim/small_vec.hpp"
 #include "sim/time.hpp"
 
 namespace p4u::faults {
@@ -157,9 +155,11 @@ class RecoveringController : public p4rt::ControllerApp {
 
   // --- the lifecycle the controllers drive ---
 
-  /// Bumps the version of `flow`, records `path` as its target, marks the
-  /// update in progress and opens its FlowDb record. Returns the version.
-  p4rt::Version begin_update(net::FlowId flow, const net::Path& path);
+  /// Bumps the version of `flow`, marks the update in progress and opens
+  /// its FlowDb record with `path` as its target (empty for a
+  /// destination-tree update). Returns the version.
+  p4rt::Version begin_update(net::FlowId flow,
+                             std::span<const net::NodeId> path);
   /// Arms the completion timer of (flow, v) when recovery is on; a newer
   /// version supersedes the flow's older timer.
   void track_update(net::FlowId flow, p4rt::Version v);
@@ -169,8 +169,8 @@ class RecoveringController : public p4rt::ControllerApp {
   /// Forgets the flow's in-flight update: the flow reads idle and its
   /// completion timer is dropped.
   void untrack(net::FlowId flow);
-  /// The path (flow, v) was issued for; empty when none was. The view stays
-  /// valid for the controller's life.
+  /// The path (flow, v) was issued for, read from its FlowDb record; empty
+  /// when none was. The view stays valid for the controller's life.
   [[nodiscard]] std::span<const net::NodeId> issued_path(
       net::FlowId flow, p4rt::Version v) const;
   /// `handle`, resolved on first use to the run's unlabeled counter `name`
@@ -205,30 +205,13 @@ class RecoveringController : public p4rt::ControllerApp {
   /// (its Table 1 registers and rules were wiped).
   void reissue_after_recovery(std::optional<net::NodeId> restarted);
 
-  static constexpr std::uint32_t kNoIssued = 0xFFFFFFFFu;
-  /// One issued (flow, version) and its path (inline up to 8 nodes, which
-  /// covers every fat-tree path).
-  struct IssuedPath {
-    p4rt::Version version = 0;
-    std::uint32_t older = kNoIssued;  // the flow's previous entry
-    sim::SmallVec<net::NodeId, 8> path;
-  };
-  /// Per-flow lifecycle row.
-  struct FlowRow {
-    RetryState retry;  // version 0: no live completion timer
-    std::uint32_t newest_issued = kNoIssued;
-  };
-  FlowRow& row(net::FlowId flow) { return rows_.at(nib_, flow); }
+  /// The flow's completion timer (version 0: none live).
+  RetryState& retry(net::FlowId flow) { return retries_.at(nib_, flow); }
 
   RecoveryParams recovery_;
   HealthView health_;
-  control::FlowRows<FlowRow> rows_;
+  control::FlowRows<RetryState> retries_;
   std::uint64_t retry_gen_ = 0;
-  // Append-only: every issued version keeps its path, because a late
-  // completion, a retrigger or a re-issue may ask for any of them. Each
-  // flow's entries chain newest first, and lookups almost always want the
-  // newest, so a lookup is one or two steps.
-  sim::AppendLog<IssuedPath, 256> issued_;
   obs::Counter resends_;
   obs::Counter repairs_;
   obs::Counter stranded_;

@@ -151,9 +151,9 @@ RunOutcome run_chaos_job(const RunSpec& spec, std::uint64_t seed) {
   if (bed.flow_db().all_terminal() && bed.flow_db().all_requests_terminal()) {
     double completed = 0.0;
     for (const TrafficFlow& tf : flows) {
-      const auto& hist = bed.flow_db().history(tf.flow.id);
-      if (!hist.empty() &&
-          hist.back().outcome == control::UpdateOutcome::kCompleted) {
+      const control::UpdateRecord* last = bed.flow_db().latest(tf.flow.id);
+      if (last != nullptr &&
+          last->outcome == control::UpdateOutcome::kCompleted) {
         completed += 1.0;
       }
     }

@@ -109,7 +109,6 @@ class P4UpdateAdapter final : public SystemAdapter {
         ctx.channel, control::Nib(ctx.graph), cp);
     if (ctx.params.expected_flows > 0) {
       ctrl_->nib().reserve(ctx.params.expected_flows);
-      ctrl_->flow_db().reserve(ctx.params.expected_flows);
     }
     metrics_ = &ctx.channel.metrics();
     init_submission(ctx, *ctrl_);

@@ -63,11 +63,11 @@ TEST(RecoveringControllerTest, UnsafeUpdateRollsBackAfterFourResends) {
     }
     const sim::Time give_up = issue + sim::milliseconds(6200);
     bed.run(give_up - 1);
-    EXPECT_EQ(bed.flow_db().history(f.id).back().outcome,
+    EXPECT_EQ(bed.flow_db().latest(f.id)->outcome,
               control::UpdateOutcome::kPending);
     bed.run(sim::seconds(120));
 
-    const control::UpdateRecord& rec = bed.flow_db().history(f.id).back();
+    const control::UpdateRecord& rec = *bed.flow_db().latest(f.id);
     EXPECT_EQ(rec.version, 2u);
     EXPECT_EQ(rec.outcome, control::UpdateOutcome::kRolledBack);
     EXPECT_EQ(rec.issued_at, issue);
@@ -267,7 +267,7 @@ TEST(RecoveringControllerTest, EzSegwayEachCompletionBelievesItsOwnPath) {
   ASSERT_EQ(believed_at_completion.size(), 2u);
   EXPECT_EQ(believed_at_completion[0], topo.new_path);
   EXPECT_EQ(believed_at_completion[1], topo.old_path);
-  EXPECT_EQ(bed.flow_db().history(f.id).back().version, 3u);
+  EXPECT_EQ(bed.flow_db().latest(f.id)->version, 3u);
 }
 
 }  // namespace

@@ -114,14 +114,15 @@ FaultRun element_fault_run(SystemKind kind, std::uint64_t seed) {
     mix_time(h, r.finished_at);
   }
   for (const TrafficFlow& tf : flows) {
-    for (const control::UpdateRecord& r : bed.flow_db().history(tf.flow.id)) {
-      mix_u64(h, r.version);
-      mix_time(h, r.issued_at);
-      mix_time(h, r.completed_at);
-      mix_u64(h, static_cast<std::uint64_t>(r.state));
-      mix_u64(h, r.alarms);
-      mix_u64(h, static_cast<std::uint64_t>(r.outcome));
-    }
+    bed.flow_db().for_each_record(
+        tf.flow.id, [&h](const control::UpdateRecord& r) {
+          mix_u64(h, r.version);
+          mix_time(h, r.issued_at);
+          mix_time(h, r.completed_at);
+          mix_u64(h, static_cast<std::uint64_t>(r.state));
+          mix_u64(h, r.alarms);
+          mix_u64(h, static_cast<std::uint64_t>(r.outcome));
+        });
   }
   const obs::MetricsRegistry& m = bed.metrics();
   mix_u64(h, bed.simulator().executed());

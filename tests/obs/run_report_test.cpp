@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "harness/campaign.hpp"
 #include "sim/stats.hpp"
 
 namespace p4u::obs {
@@ -23,18 +25,17 @@ std::vector<std::string> read_lines(const std::string& path) {
   return lines;
 }
 
+// A directory of this test's own (mkdtemp), removed when the test ends, so
+// suites run at once on one host never share or delete each other's.
 struct TempDir {
-  TempDir() {
-    dir = (fs::temp_directory_path() /
-           ("p4u_report_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-              .string();
-    fs::remove_all(dir);
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(dir, ec);
   }
-  ~TempDir() { fs::remove_all(dir); }
-  std::string dir;
+  const std::string dir = harness::make_unique_dir(
+      ::testing::TempDir(),
+      std::string("p4u_report_test_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name());
 };
 
 TEST(JsonEscapeTest, EscapesQuotesBackslashesAndControls) {
