@@ -39,8 +39,8 @@ const EzSegwaySwitch::VersionEntry* EzSegwaySwitch::find_entry(
   return nullptr;
 }
 
-EzSegwaySwitch::VersionEntry& EzSegwaySwitch::entry(net::FlowId flow,
-                                                    p4rt::Version version) {
+std::uint32_t EzSegwaySwitch::entry_at(net::FlowId flow,
+                                       p4rt::Version version) {
   const net::FlowHandle h = index_.intern(flow);
   // Walk to the first entry not newer than `version`: the match, or where
   // a new entry keeps the chain ordered. Nearly every message is for the
@@ -49,9 +49,7 @@ EzSegwaySwitch::VersionEntry& EzSegwaySwitch::entry(net::FlowId flow,
   while (*link != kNoEntry && entries_[*link].version > version) {
     link = &entries_[*link].older;
   }
-  if (*link != kNoEntry && entries_[*link].version == version) {
-    return entries_[*link];
-  }
+  if (*link != kNoEntry && entries_[*link].version == version) return *link;
   // Appending moves no entry and no row, so `link` stays valid.
   const std::uint32_t i = entries_.append();
   VersionEntry& e = entries_[i];
@@ -59,12 +57,20 @@ EzSegwaySwitch::VersionEntry& EzSegwaySwitch::entry(net::FlowId flow,
   e.version = version;
   e.older = *link;
   *link = i;
-  return e;
+  return i;
+}
+
+void EzSegwaySwitch::unpark(std::uint32_t i) {
+  if (!entries_[i].parked) return;
+  entries_[i].parked = false;
+  const auto it = std::find(parked_.begin(), parked_.end(), i);
+  *it = parked_.back();
+  parked_.pop_back();
 }
 
 EzSegwaySwitch::PendingUpdate& EzSegwaySwitch::update_of(
     net::FlowId flow, p4rt::Version version) {
-  VersionEntry& e = entry(flow, version);
+  VersionEntry& e = entries_[entry_at(flow, version)];
   e.has_update = true;
   return e.update;
 }
@@ -113,8 +119,17 @@ void EzSegwaySwitch::handle(SwitchDevice& sw, Packet pkt,
 
 void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
                                 const p4rt::EzCmdHeader& cmd) {
-  PendingUpdate& pu = update_of(cmd.flow, cmd.version);
+  const std::uint32_t i = entry_at(cmd.flow, cmd.version);
+  VersionEntry& e = entries_[i];
+  e.has_update = true;
+  PendingUpdate& pu = e.update;
   pu.cmd = cmd;
+  // Only the congestion variant's priority check reads the parked list.
+  if (params_.congestion_mode && cmd.has_rule_change && !pu.installed &&
+      !e.parked) {
+    e.parked = true;
+    parked_.push_back(i);
+  }
   if (cmd.flow_size > 0.0) {
     flow_size_.write(index_, cmd.flow, cmd.flow_size);
   }
@@ -187,10 +202,12 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
     return false;
   }
   // Static priorities: a lower-priority move yields while a strictly
-  // higher-priority pending move at this node targets the same port.
-  for (std::uint32_t i = 0; i < entries_.size(); ++i) {
+  // higher-priority pending move at this node targets the same port. Only a
+  // parked entry can be one; the verdict is "any", so the list's order is
+  // free.
+  for (const std::uint32_t i : parked_) {
     const VersionEntry& e = entries_[i];
-    if (!e.has_update || e.flow == pu.cmd.flow) continue;
+    if (e.flow == pu.cmd.flow) continue;
     const PendingUpdate& other = e.update;
     if (other.installed) continue;
     if (other.cmd.has_rule_change && other.cmd.egress_port_new == port &&
@@ -203,7 +220,8 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
 
 void EzSegwaySwitch::handle_notify(SwitchDevice& sw, Packet pkt) {
   const auto n = pkt.as<p4rt::EzNotifyHeader>();
-  VersionEntry& e = entry(n.flow, n.version);
+  const std::uint32_t i = entry_at(n.flow, n.version);
+  VersionEntry& e = entries_[i];
   // Give-up bound: a notify that waited past retry_timeout is dropped (the
   // schedule is stuck; in a deployment the controller re-triggers).
   if (e.retrying && sw.now() - e.retry_since > params_.retry_timeout) {
@@ -234,6 +252,7 @@ void EzSegwaySwitch::handle_notify(SwitchDevice& sw, Packet pkt) {
     return;
   }
   e.retrying = false;
+  unpark(i);
   do_install(sw, pu);
 }
 
@@ -325,6 +344,7 @@ void EzSegwaySwitch::on_crash(SwitchDevice& sw) {
   // static management routing is program config and survives.
   entries_.clear();
   newest_.clear();
+  parked_.clear();
   inflight_.clear();
   index_.clear();
   flow_size_.clear();

@@ -72,6 +72,7 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
     std::uint32_t older = kNoEntry;  // the flow's previous entry
     bool has_update = false;  // `update` holds a command or SegmentDone
     bool retrying = false;    // `retry_since` is set
+    bool parked = false;      // listed in parked_
     sim::Time retry_since = 0;
     PendingUpdate update;
   };
@@ -79,8 +80,8 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   /// (flow, version)'s entry, or nullptr.
   [[nodiscard]] const VersionEntry* find_entry(net::FlowId flow,
                                                p4rt::Version version) const;
-  /// (flow, version)'s entry, appended when missing.
-  VersionEntry& entry(net::FlowId flow, p4rt::Version version);
+  /// Index of (flow, version)'s entry, appended when missing.
+  std::uint32_t entry_at(net::FlowId flow, p4rt::Version version);
   /// The update parked for (flow, version), created on first use.
   PendingUpdate& update_of(net::FlowId flow, p4rt::Version version);
 
@@ -88,6 +89,8 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   void handle_notify(p4rt::SwitchDevice& sw, p4rt::Packet pkt);
   void handle_segment_done(p4rt::SwitchDevice& sw, p4rt::Packet pkt);
   void start_chain(p4rt::SwitchDevice& sw, PendingUpdate& pu);
+  /// Takes entry `i` off the parked list (its move was approved).
+  void unpark(std::uint32_t i);
   void do_install(p4rt::SwitchDevice& sw, PendingUpdate& pu);
   /// Marks `flow` as holding `port` until its install lands.
   void set_inflight(net::FlowId flow, std::int32_t port);
@@ -119,6 +122,11 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   // version order.
   sim::AppendLog<VersionEntry, 64> entries_;
   net::FlowPool<std::uint32_t> newest_{kNoEntry};
+  // Entries whose command moves this switch's rule and whose install is not
+  // approved yet, unordered (congestion mode only): the congestion check's
+  // priority scan reads only these, not every version the switch ever heard
+  // of.
+  std::vector<std::uint32_t> parked_;
   // Approved installs not yet active, as (flow, port) ascending by flow:
   // the congestion check sums over them in flow-id order.
   std::vector<std::pair<net::FlowId, std::int32_t>> inflight_;

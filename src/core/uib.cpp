@@ -2,33 +2,43 @@
 
 namespace p4u::core {
 
-AppliedState Uib::applied(FlowId f) const {
-  // One flow-id resolution, then per-register pool hits. Each register
-  // access still counts individually — the exported uib.register_reads
-  // totals are part of the byte-identical report contract.
+const Uib::Registers& Uib::read(FlowId f, std::uint64_t count) const {
+  reads_ += count;
   const net::FlowHandle h = index_.find(f);
-  const std::uint32_t gen = h == net::kNoFlowHandle ? 0 : index_.generation(h);
+  if (h == net::kNoFlowHandle) return registers_.default_value();
+  return registers_.get(h, index_.generation(h));
+}
+
+Uib::Registers& Uib::write(FlowId f, std::uint64_t count) {
+  writes_ += count;
+  const net::FlowHandle h = index_.intern(f);
+  return registers_.row(h, index_.generation(h));
+}
+
+AppliedState Uib::applied(FlowId f) const {
+  // V_n, D_n, V_o, D_o, C, and T twice (the type and the dual flag): the
+  // exported uib.register_reads totals are part of the byte-identical report
+  // contract.
+  const Registers& r = read(f, 7);
   AppliedState s;
-  s.new_version = new_version_.read_at(h, gen);
-  s.new_distance = new_distance_.read_at(h, gen);
-  s.old_version = old_version_.read_at(h, gen);
-  s.old_distance = old_distance_.read_at(h, gen);
-  s.counter = counter_.read_at(h, gen);
-  s.last_type = t_.read_at(h, gen) == 1 ? UpdateType::kDualLayer
-                                        : UpdateType::kSingleLayer;
-  s.ever_dual = t_.read_at(h, gen) == 1;
+  s.new_version = r.new_version;
+  s.new_distance = r.new_distance;
+  s.old_version = r.old_version;
+  s.old_distance = r.old_distance;
+  s.counter = r.counter;
+  s.last_type = r.t == 1 ? UpdateType::kDualLayer : UpdateType::kSingleLayer;
+  s.ever_dual = r.t == 1;
   return s;
 }
 
 void Uib::write_applied(FlowId f, const AppliedState& s) {
-  const net::FlowHandle h = index_.intern(f);
-  const std::uint32_t gen = index_.generation(h);
-  new_version_.write_at(h, gen, s.new_version);
-  new_distance_.write_at(h, gen, s.new_distance);
-  old_version_.write_at(h, gen, s.old_version);
-  old_distance_.write_at(h, gen, s.old_distance);
-  counter_.write_at(h, gen, s.counter);
-  t_.write_at(h, gen, s.last_type == UpdateType::kDualLayer ? 1 : 0);
+  Registers& r = write(f, 6);  // every register but flow_size and priority
+  r.new_version = s.new_version;
+  r.new_distance = s.new_distance;
+  r.old_version = s.old_version;
+  r.old_distance = s.old_distance;
+  r.counter = s.counter;
+  r.t = s.last_type == UpdateType::kDualLayer ? 1 : 0;
 }
 
 const UimHeader* Uib::pending_uim(FlowId f) const {

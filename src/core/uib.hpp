@@ -18,13 +18,22 @@
 // old_distance being the *inherited* segment id after a dual-layer update
 // (§3.2). The pending UIM (highest version received but not yet applied) is
 // held alongside, which the prototype realizes as the *_updated registers.
+//
+// Storage: the P4 prototype keeps one register array per Table-1 register.
+// Here a flow's registers are one row (Uib::Registers) in one pool over the
+// UIB's own flow index, so bringing a flow up at a switch grows one row, not
+// eight arrays. The access counters still count per register, as the
+// prototype's arrays would: applied() is seven reads (T(v) is read twice),
+// write_applied() six writes, and each scalar read or write one; reads of a
+// flow the switch never saw count the same. The per-switch
+// uib.register_{reads,writes} report counters export these totals.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "net/flow_index.hpp"
 #include "p4rt/packet.hpp"
-#include "p4rt/register_array.hpp"
 
 namespace p4u::core {
 
@@ -46,12 +55,10 @@ struct AppliedState {
   bool ever_dual = false;        // T(v) == dual for the *last* update
 };
 
-/// Table-1-backed store. Each scalar lives in its own register array,
-/// exactly like the P4 prototype — but flat: the flow id is interned once
-/// into a dense handle (net::FlowIndex) and every register is a
-/// FlatRegisterArray addressed by it, so a switch carrying 10^4..10^6 flows
-/// pays one contiguous row per register instead of a hash node per access.
-/// The index is shared with the P4UpdateSwitch's per-flow scratch pools.
+/// Table-1-backed store: the flow id is interned once into a dense handle
+/// (net::FlowIndex), which addresses the flow's register row. The index is
+/// shared with the P4UpdateSwitch's per-flow scratch pools, and it is the
+/// switch's own: the registers outlive the flow's forwarding rule.
 class Uib {
  public:
   // ---- applied state ----
@@ -66,19 +73,19 @@ class Uib {
 
   // ---- per-flow scalars ----
   [[nodiscard]] double flow_size(FlowId f) const {
-    return flow_size_.read(index_, f);
+    return read(f, 1).flow_size;
   }
-  void set_flow_size(FlowId f, double s) { flow_size_.write(index_, f, s); }
+  void set_flow_size(FlowId f, double s) { write(f, 1).flow_size = s; }
   [[nodiscard]] bool high_priority(FlowId f) const {
-    return flow_priority_.read(index_, f) != 0;
+    return read(f, 1).flow_priority != 0;
   }
   void set_high_priority(FlowId f, bool hi) {
-    flow_priority_.write(index_, f, hi ? 1 : 0);
+    write(f, 1).flow_priority = hi ? 1 : 0;
   }
 
   /// True if this switch has ever applied a configuration for `f`.
   [[nodiscard]] bool knows(FlowId f) const {
-    return new_version_.read(index_, f) != 0;
+    return read(f, 1).new_version != 0;
   }
 
   /// The shared per-flow handle space. The owning switch addresses its own
@@ -91,36 +98,40 @@ class Uib {
   /// regression pins that it returns to baseline after repeated batches).
   [[nodiscard]] std::size_t pending_count() const { return pending_count_; }
 
-  /// Total register-array accesses across every Table-1 array, for the
-  /// observability layer's per-switch uib.register_{reads,writes} counters.
-  [[nodiscard]] std::uint64_t register_reads() const {
-    return new_distance_.reads() + new_version_.reads() +
-           old_distance_.reads() + old_version_.reads() + flow_size_.reads() +
-           flow_priority_.reads() + t_.reads() + counter_.reads();
-  }
-  [[nodiscard]] std::uint64_t register_writes() const {
-    return new_distance_.writes() + new_version_.writes() +
-           old_distance_.writes() + old_version_.writes() +
-           flow_size_.writes() + flow_priority_.writes() + t_.writes() +
-           counter_.writes();
-  }
+  /// Register accesses, counted per Table-1 register, for the observability
+  /// layer's per-switch uib.register_{reads,writes} counters.
+  [[nodiscard]] std::uint64_t register_reads() const { return reads_; }
+  [[nodiscard]] std::uint64_t register_writes() const { return writes_; }
 
  private:
+  /// One flow's Table-1 registers; a row never written reads as these
+  /// defaults (P4 registers zero-initialize; distances read "none").
+  struct Registers {
+    Version new_version = 0;
+    Version old_version = 0;
+    double flow_size = 0.0;
+    std::int64_t counter = 0;
+    Distance new_distance = p4rt::kNoDistance;
+    Distance old_distance = p4rt::kNoDistance;
+    std::uint8_t flow_priority = 0;
+    std::uint8_t t = 0;  // 0 = single/empty, 1 = dual
+  };
   struct PendingRow {
     UimHeader uim;
     bool present = false;
   };
 
+  /// `f`'s registers (the defaults for a flow never written), counting
+  /// `count` register reads.
+  [[nodiscard]] const Registers& read(FlowId f, std::uint64_t count) const;
+  /// `f`'s registers for writing (interned when missing), counting `count`
+  /// register writes.
+  Registers& write(FlowId f, std::uint64_t count);
+
   net::FlowIndex index_;
-  // Table 1 registers, flat over the shared index.
-  p4rt::FlatRegisterArray<Distance> new_distance_{p4rt::kNoDistance};
-  p4rt::FlatRegisterArray<Version> new_version_{0};
-  p4rt::FlatRegisterArray<Distance> old_distance_{p4rt::kNoDistance};
-  p4rt::FlatRegisterArray<Version> old_version_{0};
-  p4rt::FlatRegisterArray<double> flow_size_{0.0};
-  p4rt::FlatRegisterArray<std::uint8_t> flow_priority_{0};
-  p4rt::FlatRegisterArray<std::uint8_t> t_{0};  // 0 = single/empty, 1 = dual
-  p4rt::FlatRegisterArray<std::int64_t> counter_{0};
+  net::FlowPool<Registers> registers_;
+  mutable std::uint64_t reads_ = 0;
+  std::uint64_t writes_ = 0;
   // Pending UIM content (egress_port_updated + metadata).
   net::FlowPool<PendingRow> pending_;
   std::size_t pending_count_ = 0;

@@ -62,17 +62,30 @@ void InvariantMonitor::on_switch_state(net::NodeId node, bool up) {
   }
 }
 
-net::NodeId InvariantMonitor::successor(net::NodeId node,
-                                        net::FlowId flow) const {
-  const auto port = fabric_->sw(node).lookup(flow);
+const InvariantMonitor::Row* InvariantMonitor::row_of(net::FlowId flow) const {
+  return fabric_->forwarding_table().row(flow);
+}
+
+net::NodeId InvariantMonitor::next_node(
+    net::NodeId node, std::optional<std::int32_t> port) const {
   if (!port || *port == p4rt::SwitchDevice::kLocalPort) return net::kNoNode;
   return fabric_->graph().neighbor_via(node, *port);
 }
 
-bool InvariantMonitor::on_cycle(net::NodeId node, net::FlowId flow) const {
+net::NodeId InvariantMonitor::successor(const Row* row,
+                                        net::NodeId node) const {
+  const p4rt::ForwardingTable::Hop* hop =
+      row == nullptr ? nullptr : p4rt::ForwardingTable::hop_in(*row, node);
+  if (hop == nullptr || hop->port == p4rt::ForwardingTable::kNoPort) {
+    return net::kNoNode;
+  }
+  return next_node(node, hop->port);
+}
+
+bool InvariantMonitor::on_cycle(const Row& row, net::NodeId node) const {
   net::NodeId cur = node;
-  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
-    cur = successor(cur, flow);
+  for (std::size_t hop = 0; hop < row.size(); ++hop) {
+    cur = successor(&row, cur);
     if (cur == net::kNoNode) return false;
     if (cur == node) return true;
   }
@@ -83,44 +96,59 @@ std::vector<net::NodeId> InvariantMonitor::walk_nodes(net::FlowId flow) const {
   std::vector<net::NodeId> walk;
   auto it = flows_.find(flow);
   if (it == flows_.end()) return walk;
+  const Row* row = row_of(flow);
   net::NodeId cur = it->second.ingress;
   while (cur != net::kNoNode &&
          std::find(walk.begin(), walk.end(), cur) == walk.end()) {
     walk.push_back(cur);
-    cur = successor(cur, flow);
+    cur = successor(row, cur);
   }
   return walk;
 }
 
-std::vector<net::NodeId> InvariantMonitor::scan_cycles(net::FlowId flow,
-                                                       bool first_only) const {
-  // The per-flow forwarding graph is functional (<=1 successor per node):
-  // walk from every node not yet visited, stamping nodes with the walk's
-  // start. A walk that comes back to its own stamp has closed a cycle; one
-  // that runs into an older stamp joins a path already explored.
+bool InvariantMonitor::has_loop(net::FlowId flow) const {
+  // The reference scan, through every switch's SwitchDevice::lookup. The
+  // per-flow forwarding graph is functional (<=1 successor per node): walk
+  // from every node not yet visited, stamping nodes with the walk's start. A
+  // walk that comes back to its own stamp has closed a cycle; one that runs
+  // into an older stamp joins a path already explored.
   const std::size_t n = fabric_->switch_count();
   std::vector<std::size_t> walk_of(n, n);  // n: not visited yet
-  std::vector<net::NodeId> witnesses;
   for (std::size_t start = 0; start < n; ++start) {
     auto cur = static_cast<net::NodeId>(start);
     while (cur != net::kNoNode && walk_of[static_cast<std::size_t>(cur)] == n) {
       walk_of[static_cast<std::size_t>(cur)] = start;
-      cur = successor(cur, flow);
+      cur = next_node(cur, fabric_->sw(cur).lookup(flow));
     }
     if (cur != net::kNoNode && walk_of[static_cast<std::size_t>(cur)] == start) {
-      witnesses.push_back(cur);
-      if (first_only) break;
+      return true;
     }
   }
-  return witnesses;
-}
-
-bool InvariantMonitor::has_loop(net::FlowId flow) const {
-  return !scan_cycles(flow, /*first_only=*/true).empty();
+  return false;
 }
 
 bool InvariantMonitor::seed_cycles(net::FlowId flow) {
-  std::vector<net::NodeId> witnesses = scan_cycles(flow, /*first_only=*/false);
+  // Every switch with a rule for the flow has a hop in its row, and a walk
+  // that leaves the row has reached a switch without a rule, where it ends.
+  // So has_loop's stamping, run over the row's hops, finds every cycle.
+  const Row* row = row_of(flow);
+  const auto k = static_cast<std::uint32_t>(row == nullptr ? 0 : row->size());
+  const auto next_hop = [&](std::uint32_t i) {
+    const net::NodeId next = successor(row, (*row)[i].node);
+    std::uint32_t j = 0;
+    while (j < k && (*row)[j].node != next) ++j;
+    return j;  // k: the walk ends
+  };
+  walk_of_.assign(k, k);  // k: no walk reached the hop yet
+  std::vector<net::NodeId> witnesses;
+  for (std::uint32_t start = 0; start < k; ++start) {
+    std::uint32_t i = start;
+    while (i < k && walk_of_[i] == k) {
+      walk_of_[i] = start;
+      i = next_hop(i);
+    }
+    if (i < k && walk_of_[i] == start) witnesses.push_back((*row)[i].node);
+  }
   if (witnesses.empty()) {
     cycles_.erase(flow);
     return false;
@@ -134,10 +162,12 @@ bool InvariantMonitor::track_cycles(net::NodeId node, net::FlowId flow) {
   // wipes only deleted edges. So a cycle that broke fails its witness's
   // walk, every cycle that survived keeps its witness, and the only cycle
   // that can be new runs through `node`.
+  const Row* row = row_of(flow);
   auto it = cycles_.find(flow);
   if (it != cycles_.end()) {
-    std::erase_if(it->second,
-                  [&](net::NodeId w) { return !on_cycle(w, flow); });
+    std::erase_if(it->second, [&](net::NodeId w) {
+      return row == nullptr || !on_cycle(*row, w);
+    });
   }
   const auto witnessed = [&](net::NodeId n) {
     return it != cycles_.end() &&
@@ -150,7 +180,7 @@ bool InvariantMonitor::track_cycles(net::NodeId node, net::FlowId flow) {
   net::NodeId cur = node;
   for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
     if (witnessed(cur)) break;
-    cur = successor(cur, flow);
+    cur = successor(row, cur);
     if (cur == net::kNoNode) break;
     if (cur == node) {
       closes = true;
@@ -188,19 +218,24 @@ bool InvariantMonitor::has_blackhole(net::FlowId flow) const {
 
 InvariantMonitor::WalkEnd InvariantMonitor::walk_flow(
     const net::Flow& flow) const {
+  const Row* row = row_of(flow.id);
   net::NodeId cur = flow.ingress;
   // A walk of switch_count() hops has repeated a node, and every node after
   // the first repeat was already checked.
   for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
     if (!fabric_->switch_is_up(cur)) return WalkEnd::kFaulted;
-    const auto port = fabric_->sw(cur).lookup(flow.id);
-    if (!port) return WalkEnd::kBlackhole;
-    if (*port == p4rt::SwitchDevice::kLocalPort) return WalkEnd::kDelivered;
+    const p4rt::ForwardingTable::Hop* rule =
+        row == nullptr ? nullptr : p4rt::ForwardingTable::hop_in(*row, cur);
+    if (rule == nullptr || rule->port == p4rt::ForwardingTable::kNoPort) {
+      return WalkEnd::kBlackhole;
+    }
+    const std::int32_t port = rule->port;
+    if (port == p4rt::SwitchDevice::kLocalPort) return WalkEnd::kDelivered;
     const auto& adj = fabric_->graph().neighbors(cur);
-    if (*port < 0 || static_cast<std::size_t>(*port) >= adj.size()) {
+    if (port < 0 || static_cast<std::size_t>(port) >= adj.size()) {
       return WalkEnd::kBlackhole;  // rule points nowhere
     }
-    const auto& edge = adj[static_cast<std::size_t>(*port)];
+    const auto& edge = adj[static_cast<std::size_t>(port)];
     if (!fabric_->link_is_up(edge.link)) return WalkEnd::kFaulted;
     cur = edge.neighbor;
   }
@@ -212,14 +247,17 @@ std::vector<std::string> InvariantMonitor::capacity_overloads() const {
   // Flow order fixes the float accumulation order, so iterate sorted ids —
   // hash order would make near-capacity verdicts depend on insertion
   // history.
+  // A flow adds to an edge at most once, so each edge's sum runs in flow
+  // order whatever order a row lists its hops in.
   std::map<std::pair<net::NodeId, net::NodeId>, double> load;
   for (const net::FlowId id : watched_ids_sorted()) {
     const net::Flow& flow = flows_.at(id);
-    for (std::size_t n = 0; n < fabric_->switch_count(); ++n) {
-      const auto node = static_cast<net::NodeId>(n);
-      const net::NodeId next = successor(node, id);
+    const Row* row = row_of(id);
+    if (row == nullptr) continue;
+    for (const p4rt::ForwardingTable::Hop& hop : *row) {
+      const net::NodeId next = successor(row, hop.node);
       if (next == net::kNoNode) continue;
-      load[{node, next}] += flow.size;
+      load[{hop.node, next}] += flow.size;
     }
   }
   std::vector<std::string> out;

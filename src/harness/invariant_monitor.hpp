@@ -15,9 +15,11 @@
 // removals and crash wipes the monitor is not told about only delete edges.
 // The monitor keeps one witness node per live cycle of each watched flow,
 // revalidates the witnesses and walks from n on each install: O(path + live
-// cycles), not O(switches). has_loop is the full-scan reference it agrees
-// with exactly; check_flow/check_all use that scan and re-seed the
-// witnesses.
+// cycles), not O(switches). Every check resolves the flow's row of the
+// fabric's forwarding table once and walks it; seeding the witnesses walks
+// from the switches in that row, which holds every switch with a rule for
+// the flow. has_loop scans every switch through the SwitchDevice API: the
+// reference the row-based checks agree with exactly.
 //
 // Under a FaultPlan the oracle distinguishes *violations* (the update system
 // broke an invariant) from *faulted walks* (the physical fault broke the
@@ -28,6 +30,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -57,16 +60,16 @@ class InvariantMonitor : public p4rt::FabricObserver {
 
   /// Declares a flow the monitor should watch (its ingress anchors the
   /// blackhole walk; its size feeds the capacity sums) and seeds its cycle
-  /// witnesses with one full scan of the switch tables.
+  /// witnesses from the flow's row.
   void watch_flow(const net::Flow& f);
 
   /// Subscribes to the fabric (rule installs trigger checks; fault events
   /// mark affected flows excused). Idempotent per monitor instance.
   void attach();
 
-  /// Runs all checks for one flow right now, with the full-scan loop check
-  /// (re-seeding a watched flow's cycle witnesses); increments counters and
-  /// logs trace entries for anything found.
+  /// Runs all checks for one flow right now, re-seeding a watched flow's
+  /// cycle witnesses (an unwatched flow gets the full-scan has_loop);
+  /// increments counters and logs trace entries for anything found.
   void check_flow(net::FlowId flow);
 
   /// Runs all checks for all watched flows.
@@ -108,26 +111,30 @@ class InvariantMonitor : public p4rt::FabricObserver {
   };
   [[nodiscard]] WalkEnd walk_flow(const net::Flow& flow) const;
 
+  using Row = p4rt::ForwardingTable::Row;
+
+  /// The flow's row in the fabric's forwarding table, or nullptr.
+  [[nodiscard]] const Row* row_of(net::FlowId flow) const;
+
   /// Counts and logs what one check of `flow` found, in the fixed order
   /// loop, walk, capacity.
   void record(net::FlowId flow, bool loop, WalkEnd end);
 
-  /// The node `flow`'s rule at `node` forwards to; kNoNode when there is no
-  /// rule, the rule delivers locally, or its port leads nowhere.
-  [[nodiscard]] net::NodeId successor(net::NodeId node,
-                                      net::FlowId flow) const;
+  /// The node a rule on `port` at `node` forwards to; kNoNode when there is
+  /// no rule, the rule delivers locally, or its port leads nowhere.
+  [[nodiscard]] net::NodeId next_node(net::NodeId node,
+                                      std::optional<std::int32_t> port) const;
 
-  /// True when following `flow`'s rules from `node` comes back to it (a
-  /// cycle is at most switch_count() hops long).
-  [[nodiscard]] bool on_cycle(net::NodeId node, net::FlowId flow) const;
+  /// next_node for the rule at `node` in `row` (nullptr: the flow has none).
+  [[nodiscard]] net::NodeId successor(const Row* row, net::NodeId node) const;
 
-  /// One node on each cycle of `flow`'s forwarding graph, found by scanning
-  /// every switch table; stops at the first cycle when `first_only`.
-  [[nodiscard]] std::vector<net::NodeId> scan_cycles(net::FlowId flow,
-                                                     bool first_only) const;
+  /// True when following the rules in `row` from `node` comes back to it (a
+  /// cycle runs through switches with a rule, so it is at most the row's
+  /// length).
+  [[nodiscard]] bool on_cycle(const Row& row, net::NodeId node) const;
 
-  /// Replaces a watched flow's witnesses with a full scan's; returns
-  /// whether the flow has a loop.
+  /// Replaces a watched flow's witnesses with one node on each cycle found
+  /// by walking from every switch in its row; returns whether it has a loop.
   bool seed_cycles(net::FlowId flow);
 
   /// The install-time loop check after `flow`'s rule at `node` changed:
@@ -151,6 +158,8 @@ class InvariantMonitor : public p4rt::FabricObserver {
   /// Cycle witnesses: one node on each live cycle of a watched flow's
   /// forwarding graph. Only flows that currently have a cycle have an entry.
   std::map<net::FlowId, std::vector<net::NodeId>> cycles_;
+  /// seed_cycles' per-hop walk stamps, reused across calls.
+  std::vector<std::uint32_t> walk_of_;
   Violations violations_;
   std::vector<std::string> findings_;
   /// Flows whose path a live fault broke; cleared by the next clean walk.

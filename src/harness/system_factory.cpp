@@ -29,6 +29,11 @@ const char* to_string(SystemKind k) {
 void SystemAdapter::init_submission(const SystemContext& ctx,
                                     faults::RecoveringController& ctrl) {
   controller_ = &ctrl;
+  // Every system's NIB holds every registered flow: size it once from the
+  // run's flow count instead of regrowing it by doubling.
+  if (ctx.params.expected_flows > 0) {
+    ctrl.nib().reserve(ctx.params.expected_flows);
+  }
   admission_ = std::make_unique<control::AdmissionQueue>(
       ctrl.flow_db(), ctx.params.admission);
   admission_->set_clock([sim = &ctx.sim] { return sim->now(); });
@@ -107,9 +112,6 @@ class P4UpdateAdapter final : public SystemAdapter {
     cp.recovery = ctx.params.recovery;
     ctrl_ = std::make_unique<core::P4UpdateController>(
         ctx.channel, control::Nib(ctx.graph), cp);
-    if (ctx.params.expected_flows > 0) {
-      ctrl_->nib().reserve(ctx.params.expected_flows);
-    }
     metrics_ = &ctx.channel.metrics();
     init_submission(ctx, *ctrl_);
   }

@@ -103,8 +103,9 @@ struct TestBedParams {
   faults::RecoveryParams recovery;
   /// Capacity hint for million-flow runs; 0 = grow on demand (the default
   /// keeps small beds allocation-lean). The total distinct flows the run
-  /// will register, which pre-sizes P4Update's NIB. The FlowDb holds only
-  /// the flows that are updated and grows with them.
+  /// will register, which pre-sizes every system's NIB
+  /// (SystemAdapter::init_submission). The FlowDb holds only the flows that
+  /// are updated and grows with them.
   std::size_t expected_flows = 0;
   /// Nothing reads this. Each switch's UIB and per-flow pools grow with the
   /// flows it actually carries: pre-sizing them from a guess cost resident

@@ -1,7 +1,9 @@
 // Fabric: the wired data plane.
 //
-// Owns one SwitchDevice per topology node, delivers packets across links
-// with propagation latency, and executes the run's FaultPlan (faults/):
+// Owns one SwitchDevice per topology node and the forwarding table their
+// rules live in (one row per flow, p4rt/forwarding_table.hpp), delivers
+// packets across links with propagation latency, and executes the run's
+// FaultPlan (faults/):
 // the probabilistic §5 model (dropped update packets, update packet
 // reordering) plus scheduled link-down / switch-crash events, with per-kind
 // drop counters in the metrics registry. Observation goes through the
@@ -19,6 +21,7 @@
 #include "net/graph.hpp"
 #include "obs/metrics.hpp"
 #include "p4rt/fabric_observer.hpp"
+#include "p4rt/forwarding_table.hpp"
 #include "p4rt/packet.hpp"
 #include "p4rt/switch_device.hpp"
 #include "sim/event_queue.hpp"
@@ -45,6 +48,12 @@ class Fabric {
 
   [[nodiscard]] std::size_t switch_count() const noexcept {
     return switches_.size();
+  }
+  /// Every switch's forwarding rules, one row per flow. Switches write it
+  /// through their SwitchDevice API; observers read a flow's row.
+  [[nodiscard]] ForwardingTable& forwarding_table() noexcept { return table_; }
+  [[nodiscard]] const ForwardingTable& forwarding_table() const noexcept {
+    return table_;
   }
   [[nodiscard]] const net::Graph& graph() const noexcept { return graph_; }
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
@@ -126,6 +135,7 @@ class Fabric {
 
   sim::Simulator& sim_;
   const net::Graph& graph_;
+  ForwardingTable table_;
   std::vector<std::unique_ptr<SwitchDevice>> switches_;
   sim::Trace trace_;
   obs::MetricsRegistry metrics_;

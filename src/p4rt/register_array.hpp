@@ -5,8 +5,9 @@
 // BMv2 registers are fixed-size arrays indexed by a hash of the flow; we
 // model the same semantics with a flat pool plus a default value, which
 // keeps "never written" reads well-defined (P4 registers zero-initialize).
-// The forwarding table itself (the egress_port register) lives in
-// SwitchDevice, on the same FlowIndex idiom.
+// The forwarding table itself (the egress_port register) lives in the
+// Fabric's per-flow rows (p4rt/forwarding_table.hpp), and P4Update's UIB
+// keeps Table 1 as one row per flow (core/uib.hpp).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +23,7 @@ namespace p4u::p4rt {
 /// the observability layer exports.
 ///
 /// The owner passes the index explicitly: reads resolve (find) without
-/// creating a handle, writes intern. `read_at`/`write_at` skip the lookup
-/// for callers that already resolved the handle (a multi-register access
-/// like Uib::applied interns once, then hits each register's pool).
+/// creating a handle, writes intern.
 template <typename T>
 class FlatRegisterArray {
  public:
@@ -32,24 +31,16 @@ class FlatRegisterArray {
       : pool_(default_value) {}
 
   [[nodiscard]] T read(const net::FlowIndex& idx, std::uint64_t flow) const {
-    const net::FlowHandle h = idx.find(flow);
-    return read_at(h, h == net::kNoFlowHandle ? 0 : idx.generation(h));
-  }
-
-  /// Read via a pre-resolved handle (kNoFlowHandle reads the default).
-  [[nodiscard]] T read_at(net::FlowHandle h, std::uint32_t gen) const {
     ++reads_;
-    return pool_.get(h, gen);
+    const net::FlowHandle h = idx.find(flow);
+    if (h == net::kNoFlowHandle) return pool_.default_value();
+    return pool_.get(h, idx.generation(h));
   }
 
   void write(net::FlowIndex& idx, std::uint64_t flow, T value) {
-    const net::FlowHandle h = idx.intern(flow);
-    write_at(h, idx.generation(h), value);
-  }
-
-  void write_at(net::FlowHandle h, std::uint32_t gen, T value) {
     ++writes_;
-    pool_.row(h, gen) = value;
+    const net::FlowHandle h = idx.intern(flow);
+    pool_.row(h, idx.generation(h)) = value;
   }
 
   void clear() { pool_.clear(); }

@@ -29,7 +29,8 @@ SwitchDevice::SwitchDevice(Fabric& fabric, NodeId id, SwitchParams params,
       id_(id),
       params_(params),
       rng_(rng),
-      id_label_(std::to_string(id)) {}
+      id_label_(std::to_string(id)),
+      table_(fabric.forwarding_table()) {}
 
 obs::Gauge& SwitchDevice::queue_depth_gauge() {
   return obs::resolve_once(queue_depth_gauge_, [this] {
@@ -183,22 +184,14 @@ void SwitchDevice::resubmit(Packet pkt, std::int32_t in_port) {
 }
 
 std::optional<std::int32_t> SwitchDevice::lookup(FlowId flow) const {
-  const net::FlowHandle h = index_.find(flow);
-  if (h == net::kNoFlowHandle) return std::nullopt;
-  const std::int32_t port = entries_[h].port;
-  if (port == kNoPort) return std::nullopt;
-  return port;
+  const ForwardingTable::Hop* hop = table_.find(flow, id_);
+  if (hop == nullptr || hop->port == kNoPort) return std::nullopt;
+  return hop->port;
 }
 
-SwitchDevice::RuleEntry& SwitchDevice::entry(FlowId flow) {
-  const net::FlowHandle h = index_.intern(flow);
-  if (h >= entries_.size()) entries_.resize(index_.slot_count());
-  return entries_[h];
-}
-
-void SwitchDevice::set_port(RuleEntry& e, std::int32_t port) {
-  if (e.port == port) return;
-  e.port = port;
+void SwitchDevice::set_port(ForwardingTable::Hop& hop, std::int32_t port) {
+  if (hop.port == port) return;
+  hop.port = port;
   view_dirty_ = true;
 }
 
@@ -206,9 +199,9 @@ const std::vector<std::pair<FlowId, std::int32_t>>& SwitchDevice::rules()
     const {
   if (view_dirty_) {
     view_.clear();
-    index_.for_each([this](net::FlowHandle h, FlowId flow) {
-      const std::int32_t port = entries_[h].port;
-      if (port != kNoPort) view_.emplace_back(flow, port);
+    table_.for_each_at(id_, [this](FlowId flow,
+                                   const ForwardingTable::Hop& hop) {
+      if (hop.port != kNoPort) view_.emplace_back(flow, hop.port);
     });
     std::sort(view_.begin(), view_.end());
     view_dirty_ = false;
@@ -236,10 +229,10 @@ std::optional<sim::Time> SwitchDevice::accept_install(FlowId flow,
   const sim::Duration delay =
       quick ? params_.register_write_delay : sample_install_delay();
   sim::Time done = now() + delay;
-  RuleEntry& e = entry(flow);
-  if (e.tail != kNoTail) done = std::max(done, e.tail + 1);
-  e.tail = done;
-  ++e.pending;
+  ForwardingTable::Hop& hop = table_.hop(flow, id_);
+  if (hop.tail != kNoTail) done = std::max(done, hop.tail + 1);
+  hop.tail = done;
+  ++hop.pending;
   return done;
 }
 
@@ -255,10 +248,10 @@ bool SwitchDevice::retire_install(std::uint64_t epoch, FlowId flow,
     return false;
   }
   {
-    // The pending count held the handle since issue, so `flow` is live.
-    RuleEntry& e = entries_[index_.find(flow)];
-    set_port(e, port);
-    --e.pending;
+    // The pending count held the hop since issue, so it is there.
+    ForwardingTable::Hop& hop = *table_.find(flow, id_);
+    set_port(hop, port);
+    --hop.pending;
   }
   ++installs_completed_;
   rule_installs_counter().inc();
@@ -273,32 +266,27 @@ void SwitchDevice::set_rule_now(FlowId flow, std::int32_t port) {
     installs_rejected_counter().inc();
     return;
   }
-  set_port(entry(flow), port);
+  set_port(table_.hop(flow, id_), port);
   fabric_.notify_rule_installed(id_, flow, port);
 }
 
 void SwitchDevice::remove_rule(FlowId flow) {
-  const net::FlowHandle h = index_.find(flow);
-  if (h == net::kNoFlowHandle) return;
-  RuleEntry& e = entries_[h];
-  set_port(e, kNoPort);
+  ForwardingTable::Hop* hop = table_.find(flow, id_);
+  if (hop == nullptr) return;
+  set_port(*hop, kNoPort);
   // A tail in the past can no longer delay a later install, so forgetting
-  // it is exact; a pending install or a tail at `now` keeps the entry.
-  if (e.pending == 0 && e.tail < now()) {
-    e = RuleEntry{};
-    index_.release(flow);
-  }
+  // it is exact; a pending install or a tail at `now` keeps the hop.
+  if (hop->pending == 0 && hop->tail < now()) table_.drop(flow, id_);
 }
 
 void SwitchDevice::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++epoch_;
-  // Everything volatile dies with the process: the forwarding table, the
+  // Everything volatile dies with the process: this switch's rules, the
   // service queue (stale-epoch events count themselves as crash-dropped when
   // they fire), pending install completions, and pipeline registers.
-  index_.clear();
-  entries_.clear();
+  table_.drop_node(id_);
   view_.clear();
   view_dirty_ = false;
   busy_until_ = 0;

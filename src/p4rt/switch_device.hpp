@@ -2,8 +2,8 @@
 //
 // Models the BMv2 target the paper runs on:
 //   - a single packet-processing thread (FIFO + per-packet service time),
-//   - a forwarding table keyed by flow ID (flat: one FlowIndex handle per
-//     flow addresses a dense entry array, DESIGN.md §10),
+//   - a forwarding table keyed by flow ID: the switch's hops in the
+//     fabric's per-flow rows (p4rt/forwarding_table.hpp, DESIGN.md §10),
 //   - rule installs that take time (base install delay, plus the optional
 //     exp(100 ms) "straggler" delay of the paper's single-flow setup),
 //   - the P4 primitives pipelines use: forward, clone-to-port, resubmit,
@@ -15,15 +15,14 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/flow.hpp"
-#include "net/flow_index.hpp"
 #include "obs/metrics.hpp"
+#include "p4rt/forwarding_table.hpp"
 #include "p4rt/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -147,13 +146,14 @@ class SwitchDevice {
   /// Writes a rule instantly (initial configuration bring-up, not timed).
   void set_rule_now(FlowId flow, std::int32_t port);
 
-  /// Deletes the flow's rule. Its entry (and install tail) is released only
+  /// Deletes the flow's rule. Its hop (and install tail) is dropped only
   /// when no install is pending and the tail lies in the past, so a later
   /// install still retires behind every earlier one.
   void remove_rule(FlowId flow);
 
-  /// Every rule as (flow, port), ascending by flow id. Rebuilt only after a
-  /// rule changed; the congestion readers sum over it in this order.
+  /// Every rule as (flow, port), ascending by flow id. Rebuilt, by a scan of
+  /// the fabric's rows, only after one of this switch's ports changed; the
+  /// congestion readers sum over it in this order.
   [[nodiscard]] const std::vector<std::pair<FlowId, std::int32_t>>& rules()
       const;
 
@@ -164,7 +164,7 @@ class SwitchDevice {
 
   // --- Failure domain (faults::FaultPlan switch events) ---
 
-  /// Hard power-fail: wipes the forwarding table and pipeline state
+  /// Hard power-fail: wipes this switch's rules and pipeline state
   /// (Pipeline::on_crash), drops every enqueued/parked packet, and rejects
   /// receives and installs until restart(). Modeled on what a BMv2 reboot
   /// loses: every Table 1 register array is volatile.
@@ -221,26 +221,14 @@ class SwitchDevice {
   std::array<obs::Counter, kPacketKindCount> handled_;
   Pipeline* pipeline_ = nullptr;
 
-  // The forwarding table: one entry per interned flow, addressed by its
-  // FlowIndex handle. Entries are reached through `entry()` or
-  // `entries_[h]` and never held across a call that can intern.
-  static constexpr std::int32_t kNoPort =
-      std::numeric_limits<std::int32_t>::min();
-  static constexpr sim::Time kNoTail = std::numeric_limits<sim::Time>::min();
-  struct RuleEntry {
-    std::int32_t port = kNoPort;  // kNoPort: no rule (blackhole)
-    // Completions not yet retired; the handle is kept while any is pending.
-    std::uint32_t pending = 0;
-    // Latest scheduled install completion: register writes retire in issue
-    // order, so a straggling older install can never overwrite a faster
-    // newer one (fast-forward safety). kNoTail: no install issued.
-    sim::Time tail = kNoTail;
-  };
-  RuleEntry& entry(FlowId flow);
-  void set_port(RuleEntry& e, std::int32_t port);
+  // This switch's rules are its hops in the fabric's forwarding table. A hop
+  // is reached through `table_` and never held across a call that can add
+  // or drop one.
+  static constexpr std::int32_t kNoPort = ForwardingTable::kNoPort;
+  static constexpr sim::Time kNoTail = ForwardingTable::kNoTail;
+  void set_port(ForwardingTable::Hop& hop, std::int32_t port);
 
-  net::FlowIndex index_;
-  std::vector<RuleEntry> entries_;
+  ForwardingTable& table_;  // fabric_.forwarding_table()
   mutable std::vector<std::pair<FlowId, std::int32_t>> view_;
   mutable bool view_dirty_ = false;
   sim::Time busy_until_ = 0;

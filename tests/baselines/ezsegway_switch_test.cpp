@@ -300,6 +300,86 @@ TEST(EzSegwaySwitchTest, CongestionDefersUntilCompetingRuleLeavesPort) {
   EXPECT_GT(installed->at, freed_at);
 }
 
+TEST(EzSegwaySwitchTest, OnlyAParkedHigherPriorityMoveHoldsThePort) {
+  // Node 1 has installed five versions of each of twenty priority-9 flows,
+  // the last onto the target port: installed moves hold no priority claim.
+  // A parked priority-5 move onto the same port (command here, notify not
+  // yet) must hold back a priority-1 move until it is approved itself.
+  sim::Simulator sim;
+  net::NamedTopology topo = net::fig1_topology();
+  const std::int32_t target = topo.graph.port_of(1, 2);
+  const std::int32_t other = topo.graph.port_of(1, 0);
+  topo.graph.set_link_capacity(
+      topo.graph.neighbors(1).at(static_cast<std::size_t>(target)).link,
+      1000.0);
+  p4rt::Fabric fabric(sim, topo.graph, p4rt::SwitchParams{}, 1);
+  EzSwitchParams params;
+  params.congestion_mode = true;
+  std::vector<std::unique_ptr<EzSegwaySwitch>> pipes;
+  for (std::size_t n = 0; n < topo.graph.node_count(); ++n) {
+    pipes.push_back(std::make_unique<EzSegwaySwitch>(
+        static_cast<net::NodeId>(n), topo.graph, params));
+    fabric.sw(static_cast<net::NodeId>(n)).set_pipeline(pipes.back().get());
+  }
+  p4rt::SwitchDevice& sw = fabric.sw(1);
+  const auto move = [&](net::FlowId flow, p4rt::Version v, std::int32_t port,
+                        std::uint8_t priority, bool notify) {
+    p4rt::EzCmdHeader cmd = rule_cmd(flow, 1, 0, port, -1, true);
+    cmd.version = v;
+    cmd.priority = priority;
+    cmd.flow_size = 1.0;
+    fabric.inject(1, p4rt::Packet{cmd}, -1);
+    if (!notify) return;
+    p4rt::EzNotifyHeader n;
+    n.flow = flow;
+    n.version = v;
+    n.segment_id = 0;
+    fabric.inject(1, p4rt::Packet{n}, -1);
+  };
+  for (net::FlowId flow = 100; flow < 120; ++flow) {
+    pipes[1]->bootstrap_flow(sw, flow, other, 1.0);
+    for (p4rt::Version v = 2; v <= 6; ++v) {
+      move(flow, v, v % 2 == 0 ? target : other, 9, true);
+    }
+  }
+  sim.run();
+  ASSERT_EQ(sw.installs_completed(), 100u);
+  EXPECT_EQ(fabric.trace().count(sim::TraceKind::kCongestionDefer), 0u);
+
+  pipes[1]->bootstrap_flow(sw, 50, other, 1.0);
+  pipes[1]->bootstrap_flow(sw, 42, other, 1.0);
+  move(50, 2, target, 5, false);
+  move(42, 2, target, 1, true);
+  const sim::Time released_at = sim.now() + sim::milliseconds(20);
+  std::optional<std::int32_t> port_before_release;
+  sim.schedule_at(released_at, [&] {
+    port_before_release = sw.lookup(42);
+    p4rt::EzNotifyHeader n;
+    n.flow = 50;
+    n.version = 2;
+    n.segment_id = 0;
+    fabric.inject(1, p4rt::Packet{n}, -1);
+  });
+  sim.run();
+
+  EXPECT_EQ(port_before_release, std::optional<std::int32_t>(other))
+      << "the lower-priority move must yield to the parked one";
+  EXPECT_GT(fabric.trace().count(sim::TraceKind::kCongestionDefer), 0u);
+  EXPECT_EQ(sw.lookup(50), std::optional<std::int32_t>(target));
+  EXPECT_EQ(sw.lookup(42), std::optional<std::int32_t>(target));
+  EXPECT_EQ(sw.installs_completed(), 102u);
+  const auto& entries = fabric.trace().entries();
+  const auto installed_at = [&](net::FlowId flow) {
+    const auto it = std::find_if(
+        entries.begin(), entries.end(), [flow](const sim::TraceEntry& e) {
+          return e.kind == sim::TraceKind::kRuleInstalled && e.flow == flow;
+        });
+    return it == entries.end() ? sim::Time{-1} : it->at;
+  };
+  EXPECT_GT(installed_at(50), released_at);
+  EXPECT_GE(installed_at(42), installed_at(50));
+}
+
 TEST(EzSegwaySwitchTest, NotifyRetryGivesUpAfterTimeout) {
   Env env;  // command never arrives
   p4rt::EzNotifyHeader n;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 namespace p4u::core {
 namespace {
 
@@ -82,6 +85,56 @@ TEST(UibTest, FlowsAreIndependent) {
   s.new_version = 5;
   uib.write_applied(1, s);
   EXPECT_EQ(uib.applied(2).new_version, 0);
+}
+
+TEST(UibTest, RegisterCountersCountEveryAccess) {
+  // The per-switch uib.register_{reads,writes} report counters sum these.
+  // applied() reads seven registers (the type register twice),
+  // write_applied() writes six, and each scalar accessor touches one; reads
+  // of a flow the UIB never saw count the same. The pending UIM is not a
+  // Table-1 register and counts nothing.
+  Uib uib;
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;
+  const auto counts = [&uib] {
+    return Counts{uib.register_reads(), uib.register_writes()};
+  };
+  EXPECT_EQ(counts(), (Counts{0, 0}));
+  (void)uib.applied(5);
+  EXPECT_EQ(counts(), (Counts{7, 0}));
+  (void)uib.knows(5);
+  EXPECT_EQ(counts(), (Counts{8, 0}));
+  (void)uib.flow_size(5);
+  EXPECT_EQ(counts(), (Counts{9, 0}));
+  (void)uib.high_priority(5);
+  EXPECT_EQ(counts(), (Counts{10, 0}));
+
+  AppliedState s;
+  s.new_version = 2;
+  uib.write_applied(5, s);
+  EXPECT_EQ(counts(), (Counts{10, 6}));
+  uib.set_flow_size(5, 1.5);
+  EXPECT_EQ(counts(), (Counts{10, 7}));
+  uib.set_high_priority(5, true);
+  EXPECT_EQ(counts(), (Counts{10, 8}));
+  (void)uib.applied(5);
+  EXPECT_EQ(counts(), (Counts{17, 8}));
+  (void)uib.knows(5);
+  (void)uib.flow_size(5);
+  (void)uib.high_priority(5);
+  EXPECT_EQ(counts(), (Counts{20, 8}));
+  // A scalar write to a new flow, then reads of another unknown one.
+  uib.set_flow_size(6, 2.0);
+  (void)uib.applied(7);
+  EXPECT_EQ(counts(), (Counts{27, 9}));
+
+  UimHeader u;
+  u.flow = 5;
+  u.version = 3;
+  EXPECT_TRUE(uib.offer_uim(u));
+  EXPECT_NE(uib.pending_uim(5), nullptr);
+  uib.drop_uim(5);
+  EXPECT_EQ(uib.pending_uim(7), nullptr);
+  EXPECT_EQ(counts(), (Counts{27, 9}));
 }
 
 }  // namespace

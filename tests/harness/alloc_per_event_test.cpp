@@ -165,14 +165,15 @@ struct Ceiling {
   double max_per_event;
 };
 
-// Measured on this bed: P4Update 0.202, ez-Segway 0.161, Central 0.299
+// Measured on this bed: P4Update 0.139, ez-Segway 0.148, Central 0.271
 // allocations per event. Each ceiling sits at most 10% above the measured
-// value. What remains is mostly per-flow growth (first rows, FlowDb log
-// chunks) and the bring-up of added flows.
+// value, and below what the per-switch rule tables and per-register UIB
+// arrays cost (0.202 / 0.161 / 0.299). What remains is mostly per-flow
+// growth (first rows, FlowDb log chunks) and the bring-up of added flows.
 constexpr Ceiling kCeilings[] = {
-    {SystemKind::kP4Update, 0.21},
-    {SystemKind::kEzSegway, 0.17},
-    {SystemKind::kCentral, 0.32},
+    {SystemKind::kP4Update, 0.15},
+    {SystemKind::kEzSegway, 0.16},
+    {SystemKind::kCentral, 0.29},
 };
 
 TEST(AllocPerEventTest, RunPhaseStaysUnderCeiling) {

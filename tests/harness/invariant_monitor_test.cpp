@@ -141,6 +141,9 @@ TEST(InvariantMonitorTest, CycleWipedByCrashIsDropped) {
 TEST(InvariantMonitorTest, CycleBuiltBeforeWatchIsSeeded) {
   Env env;
   env.monitor->attach();
+  // The flow's first rule is off the cycle, so seeding must walk from every
+  // switch holding a rule, not only from the first.
+  env.fabric->sw(2).set_rule_now(1, p4rt::SwitchDevice::kLocalPort);
   env.fabric->sw(5).set_rule_now(1, env.topo.graph.port_of(5, 6));
   env.fabric->sw(6).set_rule_now(1, env.topo.graph.port_of(6, 5));
   EXPECT_EQ(env.monitor->violations().loops, 0u);  // not watched yet

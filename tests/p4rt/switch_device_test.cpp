@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/fattree.hpp"
 #include "net/topologies.hpp"
 #include "p4rt/fabric.hpp"
 
@@ -248,6 +249,131 @@ TEST(SwitchDeviceTest, RecycledHandleStartsFresh) {
   EXPECT_FALSE(sw.lookup(a).has_value());
   EXPECT_EQ(sw.lookup(b), std::optional<std::int32_t>(2));
   EXPECT_EQ(rule_view(sw), (RuleView{{b, 2}}));
+}
+
+// --- One flow held by several switches ---
+
+/// Fat-tree(4): 20 switches, enough for a chain longer than any inline row.
+struct WideEnv {
+  sim::Simulator sim;
+  net::FatTree ft = net::fattree_topology(4);
+  Fabric fabric{sim, ft.graph, SwitchParams{}, /*seed=*/1};
+};
+
+TEST(SwitchDeviceTest, RemoveAtOneSwitchKeepsTheOthers) {
+  WideEnv env;
+  const net::FlowId f = 17;
+  for (net::NodeId n = 0; n < 4; ++n) env.fabric.sw(n).set_rule_now(f, n);
+  env.fabric.sw(2).remove_rule(f);
+  EXPECT_FALSE(env.fabric.sw(2).lookup(f).has_value());
+  for (const net::NodeId n : {0, 1, 3}) {
+    EXPECT_EQ(env.fabric.sw(n).lookup(f), std::optional<std::int32_t>(n))
+        << "switch " << n;
+  }
+  // Removing the flow at a switch that never held it changes nothing.
+  env.fabric.sw(9).remove_rule(f);
+  EXPECT_EQ(env.fabric.sw(3).lookup(f), std::optional<std::int32_t>(3));
+}
+
+TEST(SwitchDeviceTest, CrashWipesOnlyThatSwitchsRulesAndInstalls) {
+  WideEnv env;
+  const net::FlowId f = 17;
+  const net::FlowId g = 18;
+  for (net::NodeId n = 0; n < 3; ++n) env.fabric.sw(n).set_rule_now(f, 1);
+  env.fabric.sw(1).set_rule_now(g, 2);
+  std::vector<net::NodeId> completed;
+  for (net::NodeId n = 0; n < 3; ++n) {
+    env.fabric.sw(n).install_rule(f, 0, [&completed, n] {
+      completed.push_back(n);
+    });
+  }
+  env.fabric.sw(1).crash();
+  EXPECT_FALSE(env.fabric.sw(1).lookup(f).has_value());
+  EXPECT_FALSE(env.fabric.sw(1).lookup(g).has_value());
+  EXPECT_EQ(env.fabric.sw(0).lookup(f), std::optional<std::int32_t>(1));
+  EXPECT_EQ(env.fabric.sw(2).lookup(f), std::optional<std::int32_t>(1));
+  env.sim.run();
+  EXPECT_EQ(completed, (std::vector<net::NodeId>{0, 2}));
+  EXPECT_EQ(env.fabric.sw(0).lookup(f), std::optional<std::int32_t>(0));
+  EXPECT_EQ(env.fabric.sw(2).lookup(f), std::optional<std::int32_t>(0));
+  EXPECT_FALSE(env.fabric.sw(1).lookup(f).has_value());
+  EXPECT_TRUE(rule_view(env.fabric.sw(1)).empty());
+  EXPECT_EQ(env.fabric.sw(1).installs_completed(), 0u);
+}
+
+TEST(SwitchDeviceTest, EachSwitchListsOnlyItsOwnRules) {
+  WideEnv env;
+  env.fabric.sw(0).set_rule_now(5, 1);
+  env.fabric.sw(1).set_rule_now(5, 2);
+  env.fabric.sw(1).set_rule_now(3, 0);
+  env.fabric.sw(2).set_rule_now(7, SwitchDevice::kLocalPort);
+  env.fabric.sw(0).set_rule_now(9, 3);
+  EXPECT_EQ(rule_view(env.fabric.sw(0)), (RuleView{{5, 1}, {9, 3}}));
+  EXPECT_EQ(rule_view(env.fabric.sw(1)), (RuleView{{3, 0}, {5, 2}}));
+  EXPECT_EQ(rule_view(env.fabric.sw(2)),
+            (RuleView{{7, SwitchDevice::kLocalPort}}));
+  EXPECT_TRUE(rule_view(env.fabric.sw(3)).empty());
+  // A change at one switch leaves the other switches' views as they were.
+  env.fabric.sw(1).set_rule_now(5, 3);
+  EXPECT_EQ(rule_view(env.fabric.sw(0)), (RuleView{{5, 1}, {9, 3}}));
+  EXPECT_EQ(rule_view(env.fabric.sw(1)), (RuleView{{3, 0}, {5, 3}}));
+}
+
+TEST(SwitchDeviceTest, LongChainKeepsEveryRule) {
+  WideEnv env;
+  const net::FlowId f = 21;
+  constexpr net::NodeId kChain = 12;
+  for (net::NodeId n = 0; n < kChain; ++n) env.fabric.sw(n).set_rule_now(f, n);
+  // Pending installs on every other switch of the chain.
+  for (net::NodeId n = 0; n < kChain; n += 2) {
+    env.fabric.sw(n).install_rule(f, n + 100);
+  }
+  for (net::NodeId n = 0; n < kChain; ++n) {
+    EXPECT_EQ(env.fabric.sw(n).lookup(f), std::optional<std::int32_t>(n))
+        << "switch " << n;
+    EXPECT_EQ(rule_view(env.fabric.sw(n)), (RuleView{{f, n}}))
+        << "switch " << n;
+  }
+  env.fabric.sw(5).remove_rule(f);
+  env.fabric.sw(0).remove_rule(f);  // pending install: the write still lands
+  env.sim.run();
+  for (net::NodeId n = 0; n < kChain; ++n) {
+    const std::optional<std::int32_t> want =
+        n == 5 ? std::nullopt
+               : std::optional<std::int32_t>(n % 2 == 0 ? n + 100 : n);
+    EXPECT_EQ(env.fabric.sw(n).lookup(f), want) << "switch " << n;
+  }
+  EXPECT_FALSE(env.fabric.sw(kChain).lookup(f).has_value());
+}
+
+TEST(SwitchDeviceTest, FlowAddedAgainAfterItsLastRuleWent) {
+  WideEnv env;
+  const net::FlowId f = 33;
+  env.fabric.sw(0).install_rule(f, 1);
+  env.fabric.sw(1).set_rule_now(f, 2);
+  env.sim.run();
+  sim::Time issued = 0;
+  sim::Time done = 0;
+  // One tick past the install's completion, so no tail holds the flow.
+  env.sim.schedule_in(1, [&] {
+    env.fabric.sw(0).remove_rule(f);
+    env.fabric.sw(1).remove_rule(f);
+    EXPECT_FALSE(env.fabric.sw(0).lookup(f).has_value());
+    EXPECT_FALSE(env.fabric.sw(1).lookup(f).has_value());
+    // Back from scratch: the new install waits behind no earlier tail.
+    issued = env.sim.now();
+    env.fabric.sw(1).install_rule(f, 3, [&] { done = env.sim.now(); },
+                                  /*quick=*/true);
+    env.fabric.sw(4).set_rule_now(f, 0);
+  });
+  env.sim.run();
+  EXPECT_EQ(done, issued + SwitchParams{}.register_write_delay);
+  EXPECT_FALSE(env.fabric.sw(0).lookup(f).has_value());
+  EXPECT_EQ(env.fabric.sw(1).lookup(f), std::optional<std::int32_t>(3));
+  EXPECT_EQ(env.fabric.sw(4).lookup(f), std::optional<std::int32_t>(0));
+  EXPECT_TRUE(rule_view(env.fabric.sw(0)).empty());
+  EXPECT_EQ(rule_view(env.fabric.sw(1)), (RuleView{{f, 3}}));
+  EXPECT_EQ(rule_view(env.fabric.sw(4)), (RuleView{{f, 0}}));
 }
 
 TEST(SwitchDeviceTest, DataPacketsVisibleToPipelineHook) {
