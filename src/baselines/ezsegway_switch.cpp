@@ -22,8 +22,19 @@ EzSegwaySwitch::EzSegwaySwitch(net::NodeId id, const net::Graph& graph,
 
 void EzSegwaySwitch::bootstrap_flow(SwitchDevice& sw, net::FlowId f,
                                     std::int32_t egress_port, double size) {
-  flow_size_.write(index_, f, size);
+  set_flow_size(f, size);
   sw.set_rule_now(f, egress_port);
+}
+
+double EzSegwaySwitch::flow_size(net::FlowId flow) const {
+  const net::FlowHandle h = index_.find(flow);
+  if (h == net::kNoFlowHandle) return 0.0;
+  return flow_size_.get(h, index_.generation(h));
+}
+
+void EzSegwaySwitch::set_flow_size(net::FlowId flow, double size) {
+  const net::FlowHandle h = index_.intern(flow);
+  flow_size_.row(h, index_.generation(h)) = size;
 }
 
 const EzSegwaySwitch::VersionEntry* EzSegwaySwitch::find_entry(
@@ -131,7 +142,7 @@ void EzSegwaySwitch::handle_cmd(SwitchDevice& sw,
     parked_.push_back(i);
   }
   if (cmd.flow_size > 0.0) {
-    flow_size_.write(index_, cmd.flow, cmd.flow_size);
+    set_flow_size(cmd.flow, cmd.flow_size);
   }
   if (cmd.retrigger) {
     // Controller resend: every message this node already owed may have been
@@ -187,20 +198,16 @@ bool EzSegwaySwitch::capacity_ok(const SwitchDevice& sw,
   // flow adds +0.0, which leaves a non-negative sum unchanged.
   double used = 0.0;
   for (const auto& [flow, p] : sw.rules()) {
-    if (flow != pu.cmd.flow && p == port) {
-      used += flow_size_.read(index_, flow);
-    }
+    if (flow != pu.cmd.flow && p == port) used += flow_size(flow);
   }
   // In-flight installs hold capacity too (the rule write takes time).
   for (const auto& [flow, p] : inflight_) {
     if (flow == pu.cmd.flow || p != port) continue;
     const auto cur2 = sw.lookup(flow);
     if (cur2 && *cur2 == port) continue;
-    used += flow_size_.read(index_, flow);
+    used += flow_size(flow);
   }
-  if (capacity - used < flow_size_.read(index_, pu.cmd.flow)) {
-    return false;
-  }
+  if (capacity - used < flow_size(pu.cmd.flow)) return false;
   // Static priorities: a lower-priority move yields while a strictly
   // higher-priority pending move at this node targets the same port. Only a
   // parked entry can be one; the verdict is "any", so the list's order is

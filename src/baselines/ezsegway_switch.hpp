@@ -20,7 +20,6 @@
 
 #include "net/flow_index.hpp"
 #include "p4rt/fabric.hpp"
-#include "p4rt/register_array.hpp"
 #include "p4rt/switch_device.hpp"
 #include "sim/append_log.hpp"
 #include "sim/small_vec.hpp"
@@ -80,6 +79,9 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   /// (flow, version)'s entry, or nullptr.
   [[nodiscard]] const VersionEntry* find_entry(net::FlowId flow,
                                                p4rt::Version version) const;
+  /// The flow_size register: 0 for a flow never sized.
+  [[nodiscard]] double flow_size(net::FlowId flow) const;
+  void set_flow_size(net::FlowId flow, double size);
   /// Index of (flow, version)'s entry, appended when missing.
   std::uint32_t entry_at(net::FlowId flow, p4rt::Version version);
   /// The update parked for (flow, version), created on first use.
@@ -114,8 +116,9 @@ class EzSegwaySwitch final : public p4rt::Pipeline {
   // the per-flow version chains, both of which outlive the flow's rule, so
   // neither can share the device's (DESIGN.md §10).
   net::FlowIndex index_;
-  // The flow_size register (0 for a flow never sized).
-  p4rt::FlatRegisterArray<double> flow_size_{0.0};
+  // The flow_size register, a pool of its own: bring-up sizes every hop,
+  // but only updated flows have a newest_ row.
+  net::FlowPool<double> flow_size_{0.0};
   // Append-only: every (flow, version) the switch heard of keeps its entry,
   // since a late or duplicate message for an older version must still find
   // it. Each flow's entries chain from its newest_ row in descending

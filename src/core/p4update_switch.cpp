@@ -58,8 +58,7 @@ void P4UpdateSwitch::bootstrap_flow(SwitchDevice& sw, FlowId f,
   st.counter = 0;
   st.last_type = UpdateType::kSingleLayer;
   st.ever_dual = false;
-  uib_.write_applied(f, st);
-  uib_.set_flow_size(f, size);
+  uib_.bring_up(f, st, size);
   sw.set_rule_now(f, egress_port);
 }
 

@@ -31,14 +31,23 @@ AppliedState Uib::applied(FlowId f) const {
   return s;
 }
 
-void Uib::write_applied(FlowId f, const AppliedState& s) {
-  Registers& r = write(f, 6);  // every register but flow_size and priority
+void Uib::assign(Registers& r, const AppliedState& s) {
   r.new_version = s.new_version;
   r.new_distance = s.new_distance;
   r.old_version = s.old_version;
   r.old_distance = s.old_distance;
   r.counter = s.counter;
   r.t = s.last_type == UpdateType::kDualLayer ? 1 : 0;
+}
+
+void Uib::write_applied(FlowId f, const AppliedState& s) {
+  assign(write(f, 6), s);  // every register but flow_size and priority
+}
+
+void Uib::bring_up(FlowId f, const AppliedState& s, double size) {
+  Registers& r = write(f, 7);  // the applied state and flow_size
+  assign(r, s);
+  r.flow_size = size;
 }
 
 const UimHeader* Uib::pending_uim(FlowId f) const {

@@ -24,9 +24,10 @@
 // UIB's own flow index, so bringing a flow up at a switch grows one row, not
 // eight arrays. The access counters still count per register, as the
 // prototype's arrays would: applied() is seven reads (T(v) is read twice),
-// write_applied() six writes, and each scalar read or write one; reads of a
-// flow the switch never saw count the same. The per-switch
-// uib.register_{reads,writes} report counters export these totals.
+// write_applied() six writes, bring_up() seven, and each scalar read or
+// write one; reads of a flow the switch never saw count the same. The
+// per-switch uib.register_{reads,writes} report counters export these
+// totals.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +65,9 @@ class Uib {
   // ---- applied state ----
   [[nodiscard]] AppliedState applied(FlowId f) const;
   void write_applied(FlowId f, const AppliedState& s);
+  /// Bring-up: write_applied and set_flow_size through one row lookup,
+  /// counted as the same seven register writes.
+  void bring_up(FlowId f, const AppliedState& s, double size);
 
   // ---- pending UIM (highest version received) ----
   [[nodiscard]] const UimHeader* pending_uim(FlowId f) const;
@@ -127,6 +131,8 @@ class Uib {
   /// `f`'s registers for writing (interned when missing), counting `count`
   /// register writes.
   Registers& write(FlowId f, std::uint64_t count);
+  /// Copies `s` into the six applied-state registers of `r`.
+  static void assign(Registers& r, const AppliedState& s);
 
   net::FlowIndex index_;
   net::FlowPool<Registers> registers_;

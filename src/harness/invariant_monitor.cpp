@@ -10,14 +10,13 @@ std::vector<net::FlowId> InvariantMonitor::watched_ids_sorted() const {
   std::vector<net::FlowId> ids;
   ids.reserve(flows_.size());
   // p4u-detlint: allow(unordered-iter) key harvest only; ids are sorted before use
-  for (const auto& [id, flow] : flows_) ids.push_back(id);
+  for (const auto& [id, watched] : flows_) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 void InvariantMonitor::watch_flow(const net::Flow& f) {
-  flows_[f.id] = f;
-  seed_cycles(f.id);
+  flows_[f.id].flow = f;
 }
 
 void InvariantMonitor::attach() {
@@ -26,11 +25,10 @@ void InvariantMonitor::attach() {
 
 void InvariantMonitor::on_rule_installed(net::NodeId node, net::FlowId flow,
                                          std::int32_t port) {
+  (void)node;
   (void)port;
   const auto it = flows_.find(flow);
-  if (it == flows_.end()) return;
-  const bool loop = track_cycles(node, flow);
-  record(flow, loop, walk_flow(it->second));
+  if (it != flows_.end()) check(flow, &it->second);
 }
 
 void InvariantMonitor::on_link_state(net::LinkId link, net::NodeId a,
@@ -45,7 +43,7 @@ void InvariantMonitor::on_link_state(net::LinkId link, net::NodeId a,
     for (std::size_t i = 0; i + 1 < walk.size(); ++i) {
       const auto hop = fabric_->graph().find_link(walk[i], walk[i + 1]);
       if (hop && *hop == link) {
-        excused_.insert(id);
+        flows_.at(id).excused = true;
         break;
       }
     }
@@ -57,7 +55,7 @@ void InvariantMonitor::on_switch_state(net::NodeId node, bool up) {
   for (const net::FlowId id : watched_ids_sorted()) {
     const std::vector<net::NodeId> walk = walk_nodes(id);
     if (std::find(walk.begin(), walk.end(), node) != walk.end()) {
-      excused_.insert(id);
+      flows_.at(id).excused = true;
     }
   }
 }
@@ -82,22 +80,12 @@ net::NodeId InvariantMonitor::successor(const Row* row,
   return next_node(node, hop->port);
 }
 
-bool InvariantMonitor::on_cycle(const Row& row, net::NodeId node) const {
-  net::NodeId cur = node;
-  for (std::size_t hop = 0; hop < row.size(); ++hop) {
-    cur = successor(&row, cur);
-    if (cur == net::kNoNode) return false;
-    if (cur == node) return true;
-  }
-  return false;
-}
-
 std::vector<net::NodeId> InvariantMonitor::walk_nodes(net::FlowId flow) const {
   std::vector<net::NodeId> walk;
   auto it = flows_.find(flow);
   if (it == flows_.end()) return walk;
   const Row* row = row_of(flow);
-  net::NodeId cur = it->second.ingress;
+  net::NodeId cur = it->second.flow.ingress;
   while (cur != net::kNoNode &&
          std::find(walk.begin(), walk.end(), cur) == walk.end()) {
     walk.push_back(cur);
@@ -127,11 +115,10 @@ bool InvariantMonitor::has_loop(net::FlowId flow) const {
   return false;
 }
 
-bool InvariantMonitor::seed_cycles(net::FlowId flow) {
+bool InvariantMonitor::has_cycle(const Row* row) {
   // Every switch with a rule for the flow has a hop in its row, and a walk
   // that leaves the row has reached a switch without a rule, where it ends.
   // So has_loop's stamping, run over the row's hops, finds every cycle.
-  const Row* row = row_of(flow);
   const auto k = static_cast<std::uint32_t>(row == nullptr ? 0 : row->size());
   const auto next_hop = [&](std::uint32_t i) {
     const net::NodeId next = successor(row, (*row)[i].node);
@@ -140,69 +127,21 @@ bool InvariantMonitor::seed_cycles(net::FlowId flow) {
     return j;  // k: the walk ends
   };
   walk_of_.assign(k, k);  // k: no walk reached the hop yet
-  std::vector<net::NodeId> witnesses;
   for (std::uint32_t start = 0; start < k; ++start) {
     std::uint32_t i = start;
     while (i < k && walk_of_[i] == k) {
       walk_of_[i] = start;
       i = next_hop(i);
     }
-    if (i < k && walk_of_[i] == start) witnesses.push_back((*row)[i].node);
+    if (i < k && walk_of_[i] == start) return true;
   }
-  if (witnesses.empty()) {
-    cycles_.erase(flow);
-    return false;
-  }
-  cycles_[flow] = std::move(witnesses);
-  return true;
-}
-
-bool InvariantMonitor::track_cycles(net::NodeId node, net::FlowId flow) {
-  // Since the last check only `node`'s rule was written; removals and crash
-  // wipes only deleted edges. So a cycle that broke fails its witness's
-  // walk, every cycle that survived keeps its witness, and the only cycle
-  // that can be new runs through `node`.
-  const Row* row = row_of(flow);
-  auto it = cycles_.find(flow);
-  if (it != cycles_.end()) {
-    std::erase_if(it->second, [&](net::NodeId w) {
-      return row == nullptr || !on_cycle(*row, w);
-    });
-  }
-  const auto witnessed = [&](net::NodeId n) {
-    return it != cycles_.end() &&
-           std::find(it->second.begin(), it->second.end(), n) !=
-               it->second.end();
-  };
-  // Walk from `node` until the walk ends, meets a witnessed cycle (the one
-  // through `node` or another), or comes back to `node`: a new cycle.
-  bool closes = false;
-  net::NodeId cur = node;
-  for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
-    if (witnessed(cur)) break;
-    cur = successor(row, cur);
-    if (cur == net::kNoNode) break;
-    if (cur == node) {
-      closes = true;
-      break;
-    }
-  }
-  if (closes) {
-    if (it == cycles_.end()) it = cycles_.try_emplace(flow).first;
-    it->second.push_back(node);
-  }
-  if (it == cycles_.end()) return false;
-  if (it->second.empty()) {
-    cycles_.erase(it);
-    return false;
-  }
-  return true;
+  return false;
 }
 
 bool InvariantMonitor::has_blackhole(net::FlowId flow) const {
   auto it = flows_.find(flow);
   if (it == flows_.end()) return false;
-  net::NodeId cur = it->second.ingress;
+  net::NodeId cur = it->second.flow.ingress;
   // A walk of switch_count() hops has repeated a node: a loop, which
   // has_loop reports, not a blackhole.
   for (std::size_t hop = 0; hop < fabric_->switch_count(); ++hop) {
@@ -216,9 +155,8 @@ bool InvariantMonitor::has_blackhole(net::FlowId flow) const {
   return false;
 }
 
-InvariantMonitor::WalkEnd InvariantMonitor::walk_flow(
-    const net::Flow& flow) const {
-  const Row* row = row_of(flow.id);
+InvariantMonitor::WalkEnd InvariantMonitor::walk_flow(const net::Flow& flow,
+                                                      const Row* row) const {
   net::NodeId cur = flow.ingress;
   // A walk of switch_count() hops has repeated a node, and every node after
   // the first repeat was already checked.
@@ -251,7 +189,7 @@ std::vector<std::string> InvariantMonitor::capacity_overloads() const {
   // order whatever order a row lists its hops in.
   std::map<std::pair<net::NodeId, net::NodeId>, double> load;
   for (const net::FlowId id : watched_ids_sorted()) {
-    const net::Flow& flow = flows_.at(id);
+    const net::Flow& flow = flows_.at(id).flow;
     const Row* row = row_of(id);
     if (row == nullptr) continue;
     for (const p4rt::ForwardingTable::Hop& hop : *row) {
@@ -277,18 +215,16 @@ std::vector<std::string> InvariantMonitor::capacity_overloads() const {
 
 void InvariantMonitor::check_flow(net::FlowId flow) {
   const auto it = flows_.find(flow);
-  if (it == flows_.end()) {
-    // Not watched: no witnesses to keep and no ingress to walk from.
-    record(flow, has_loop(flow), WalkEnd::kDelivered);
-    return;
-  }
-  const bool loop = seed_cycles(flow);
-  record(flow, loop, walk_flow(it->second));
+  check(flow, it == flows_.end() ? nullptr : &it->second);
 }
 
-void InvariantMonitor::record(net::FlowId flow, bool loop, WalkEnd end) {
+void InvariantMonitor::check(net::FlowId flow, Watched* watched) {
+  const Row* row = row_of(flow);
+  // An unwatched flow has no ingress to walk from.
+  const WalkEnd end =
+      watched == nullptr ? WalkEnd::kDelivered : walk_flow(watched->flow, row);
   const sim::Time now = fabric_->simulator().now();
-  if (loop) {
+  if (has_cycle(row)) {
     // Loops are always the update system's fault — no physical failure
     // writes a cyclic rule set — so faults never excuse them.
     ++violations_.loops;
@@ -299,15 +235,16 @@ void InvariantMonitor::record(net::FlowId flow, bool loop, WalkEnd end) {
   }
   switch (end) {
     case WalkEnd::kDelivered:
-      excused_.erase(flow);  // a clean walk ends the fault excuse
+      // A clean walk ends the fault excuse.
+      if (watched != nullptr) watched->excused = false;
       break;
     case WalkEnd::kFaulted:
       // The physical fault, not the update logic, broke this walk.
       ++violations_.faulted_walks;
-      excused_.insert(flow);
+      watched->excused = true;
       break;
     case WalkEnd::kBlackhole:
-      if (excused_.count(flow) != 0) {
+      if (watched->excused) {
         ++violations_.faulted_walks;
         fabric_->trace().add({now, sim::TraceKind::kInfo, -1, flow, 0, 0,
                               "monitor: blackhole excused by fault"});

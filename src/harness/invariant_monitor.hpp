@@ -9,17 +9,16 @@
 // The systems under test never see the monitor — it reads switch tables the
 // way an omniscient observer would.
 //
-// The install-time loop check is local, like the paper's switches: a
-// flow's forwarding graph is functional (at most one successor per switch),
-// so an install at node n can only create the one cycle through n, and the
-// removals and crash wipes the monitor is not told about only delete edges.
-// The monitor keeps one witness node per live cycle of each watched flow,
-// revalidates the witnesses and walks from n on each install: O(path + live
-// cycles), not O(switches). Every check resolves the flow's row of the
-// fabric's forwarding table once and walks it; seeding the witnesses walks
-// from the switches in that row, which holds every switch with a rule for
-// the flow. has_loop scans every switch through the SwitchDevice API: the
-// reference the row-based checks agree with exactly.
+// Every check resolves the flow's row of the fabric's forwarding table once
+// and reads only that row: the loop check walks from each switch in it, the
+// blackhole check from the ingress. Every switch with a rule for the flow
+// has a hop in the row, and a walk that leaves the row has reached a switch
+// without a rule, where it ends; so the row scan finds every cycle, in
+// O(row²) steps on a row of a few hops, not O(switches). has_loop scans
+// every switch through the SwitchDevice API: the reference the row scan
+// agrees with exactly. Removals and crash wipes, which the monitor is not
+// told about, need no check of their own: they can only break cycles, and a
+// blackhole they open shows at the flow's next install.
 //
 // Under a FaultPlan the oracle distinguishes *violations* (the update system
 // broke an invariant) from *faulted walks* (the physical fault broke the
@@ -29,9 +28,7 @@
 // update logic does.
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,17 +56,17 @@ class InvariantMonitor : public p4rt::FabricObserver {
       : fabric_(&fabric), check_capacity_(check_capacity) {}
 
   /// Declares a flow the monitor should watch (its ingress anchors the
-  /// blackhole walk; its size feeds the capacity sums) and seeds its cycle
-  /// witnesses from the flow's row.
+  /// blackhole walk; its size feeds the capacity sums). Watching a flow
+  /// again keeps its fault excuse.
   void watch_flow(const net::Flow& f);
 
   /// Subscribes to the fabric (rule installs trigger checks; fault events
   /// mark affected flows excused). Idempotent per monitor instance.
   void attach();
 
-  /// Runs all checks for one flow right now, re-seeding a watched flow's
-  /// cycle witnesses (an unwatched flow gets the full-scan has_loop);
-  /// increments counters and logs trace entries for anything found.
+  /// Runs all checks for one flow right now (an unwatched flow gets only
+  /// the loop and capacity checks); increments counters and logs trace
+  /// entries for anything found.
   void check_flow(net::FlowId flow);
 
   /// Runs all checks for all watched flows.
@@ -89,7 +86,7 @@ class InvariantMonitor : public p4rt::FabricObserver {
   void export_violations(obs::MetricsRegistry& m) const;
 
   // Direct predicates (used by tests). has_loop scans every switch table:
-  // the reference the install-time check must agree with.
+  // the reference the row scan must agree with.
   [[nodiscard]] bool has_loop(net::FlowId flow) const;
   [[nodiscard]] bool has_blackhole(net::FlowId flow) const;
   [[nodiscard]] std::vector<std::string> capacity_overloads() const;
@@ -109,16 +106,31 @@ class InvariantMonitor : public p4rt::FabricObserver {
     kLoop,       // revisited a node
     kFaulted,    // hit a crashed switch or a downed link
   };
-  [[nodiscard]] WalkEnd walk_flow(const net::Flow& flow) const;
 
   using Row = p4rt::ForwardingTable::Row;
+
+  /// A watched flow and its fault excuse.
+  struct Watched {
+    net::Flow flow;
+    /// A live fault broke the flow's path; cleared by the next clean walk.
+    bool excused = false;
+  };
 
   /// The flow's row in the fabric's forwarding table, or nullptr.
   [[nodiscard]] const Row* row_of(net::FlowId flow) const;
 
-  /// Counts and logs what one check of `flow` found, in the fixed order
-  /// loop, walk, capacity.
-  void record(net::FlowId flow, bool loop, WalkEnd end);
+  /// How the walk from `flow`'s ingress along the rules in `row` (the
+  /// flow's row, or nullptr) ends.
+  [[nodiscard]] WalkEnd walk_flow(const net::Flow& flow, const Row* row) const;
+
+  /// The loop check: true when following the rules in `row` from some
+  /// switch in it comes back to a switch already on that walk.
+  bool has_cycle(const Row* row);
+
+  /// Checks `flow` against its row, resolved once, and counts and logs what
+  /// it found in the fixed order loop, walk, capacity. `watched` is nullptr
+  /// for a flow not watched.
+  void check(net::FlowId flow, Watched* watched);
 
   /// The node a rule on `port` at `node` forwards to; kNoNode when there is
   /// no rule, the rule delivers locally, or its port leads nowhere.
@@ -127,20 +139,6 @@ class InvariantMonitor : public p4rt::FabricObserver {
 
   /// next_node for the rule at `node` in `row` (nullptr: the flow has none).
   [[nodiscard]] net::NodeId successor(const Row* row, net::NodeId node) const;
-
-  /// True when following the rules in `row` from `node` comes back to it (a
-  /// cycle runs through switches with a rule, so it is at most the row's
-  /// length).
-  [[nodiscard]] bool on_cycle(const Row& row, net::NodeId node) const;
-
-  /// Replaces a watched flow's witnesses with one node on each cycle found
-  /// by walking from every switch in its row; returns whether it has a loop.
-  bool seed_cycles(net::FlowId flow);
-
-  /// The install-time loop check after `flow`'s rule at `node` changed:
-  /// drops witnesses whose cycle broke, adds `node` when it closed a cycle
-  /// no witness is on, and returns whether any cycle is left.
-  bool track_cycles(net::NodeId node, net::FlowId flow);
 
   /// The node sequence of the flow's current walk, up to its first
   /// repeated node (pre-fault when called from a state-change notification,
@@ -154,16 +152,11 @@ class InvariantMonitor : public p4rt::FabricObserver {
 
   p4rt::Fabric* fabric_;
   bool check_capacity_;
-  std::unordered_map<net::FlowId, net::Flow> flows_;
-  /// Cycle witnesses: one node on each live cycle of a watched flow's
-  /// forwarding graph. Only flows that currently have a cycle have an entry.
-  std::map<net::FlowId, std::vector<net::NodeId>> cycles_;
-  /// seed_cycles' per-hop walk stamps, reused across calls.
+  std::unordered_map<net::FlowId, Watched> flows_;
+  /// has_cycle's per-hop walk stamps, reused across calls.
   std::vector<std::uint32_t> walk_of_;
   Violations violations_;
   std::vector<std::string> findings_;
-  /// Flows whose path a live fault broke; cleared by the next clean walk.
-  std::set<net::FlowId> excused_;
   p4rt::ObserverHandle handle_;
 };
 

@@ -90,7 +90,8 @@ TEST(UibTest, FlowsAreIndependent) {
 TEST(UibTest, RegisterCountersCountEveryAccess) {
   // The per-switch uib.register_{reads,writes} report counters sum these.
   // applied() reads seven registers (the type register twice),
-  // write_applied() writes six, and each scalar accessor touches one; reads
+  // write_applied() writes six, bring_up() seven (the applied state and the
+  // flow size), and each scalar accessor touches one; reads
   // of a flow the UIB never saw count the same. The pending UIM is not a
   // Table-1 register and counts nothing.
   Uib uib;
@@ -126,6 +127,25 @@ TEST(UibTest, RegisterCountersCountEveryAccess) {
   uib.set_flow_size(6, 2.0);
   (void)uib.applied(7);
   EXPECT_EQ(counts(), (Counts{27, 9}));
+  // Bring-up writes the applied state and flow_size: seven writes.
+  AppliedState b;
+  b.new_version = 4;
+  b.new_distance = 3;
+  b.old_distance = 3;
+  b.counter = 2;
+  b.last_type = UpdateType::kDualLayer;
+  uib.bring_up(8, b, 2.5);
+  EXPECT_EQ(counts(), (Counts{27, 16}));
+  const AppliedState got = uib.applied(8);
+  EXPECT_EQ(got.new_version, 4);
+  EXPECT_EQ(got.new_distance, 3);
+  EXPECT_EQ(got.old_version, 0);
+  EXPECT_EQ(got.old_distance, 3);
+  EXPECT_EQ(got.counter, 2);
+  EXPECT_EQ(got.last_type, UpdateType::kDualLayer);
+  EXPECT_DOUBLE_EQ(uib.flow_size(8), 2.5);
+  EXPECT_FALSE(uib.high_priority(8));
+  EXPECT_EQ(counts(), (Counts{36, 16}));
 
   UimHeader u;
   u.flow = 5;
@@ -134,7 +154,7 @@ TEST(UibTest, RegisterCountersCountEveryAccess) {
   EXPECT_NE(uib.pending_uim(5), nullptr);
   uib.drop_uim(5);
   EXPECT_EQ(uib.pending_uim(7), nullptr);
-  EXPECT_EQ(counts(), (Counts{27, 9}));
+  EXPECT_EQ(counts(), (Counts{36, 16}));
 }
 
 }  // namespace

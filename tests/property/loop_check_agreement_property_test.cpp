@@ -1,6 +1,6 @@
-// Property: the invariant monitor's install-time loop check, which walks
-// only from the install and its live cycle witnesses, agrees with the
-// full-scan reference InvariantMonitor::has_loop at every watched install.
+// Property: the invariant monitor's install-time loop check, which scans
+// only the flow's forwarding-table row, agrees with the full-scan reference
+// InvariantMonitor::has_loop at every watched install.
 // A FabricObserver subscribed after the bed's monitor sees every install
 // right after the monitor did, evaluates has_loop on the same tables, and
 // counts the installs where it held; the monitor's loop count must match.
